@@ -196,6 +196,9 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         if len(fields) != 4:
             raise ParseError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
         utt_id, wav_path, key, attack = fields
+        # Ids name output files inside --out, so they must be plain file names.
+        if utt_id in ("", ".", "..") or "/" in utt_id or "\\" in utt_id:
+            raise ParseError(f"{path}:{lineno}: utt_id {utt_id!r} is not a plain file name")
         if utt_id in seen:
             raise DuplicateIdError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
         seen.add(utt_id)

@@ -334,6 +334,16 @@ def cmd_eer(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _int_at_least(lowest: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    return integer
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits 2
         self.print_usage(sys.stderr)
@@ -343,8 +353,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run config (strict keys)")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    common.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
+    common.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker count")
     common.add_argument("--out", required=True, help="output directory")
 
     parser = _Parser(prog="rhythmkit", description=__doc__)

@@ -1,7 +1,9 @@
 """Numeric kernel: framing, windowing, overlap-add, LPC, filtering, resampling.
 
 All functions operate on plain float64 numpy arrays and are pure; audio
-container types live in audio_io.
+container types live in audio_io.  The LPC kernels work on stacks of frames
+(one row per frame) and loop only over lag or order; their 1-D forms are
+one-row calls into the same code.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from .errors import (
@@ -83,6 +86,30 @@ class LpcModel:
         return cls(order=order, coeffs=np.zeros(order), gain=0.0)
 
 
+@dataclass(frozen=True)
+class LpcRows:
+    """Levinson solutions for a stack of autocorrelation rows.
+
+    Silent rows (r[0] <= 0) carry the identity model.  A row whose recursion
+    reaches a reflection coefficient with |k| >= 1 is flagged in ``unstable``:
+    its coefficients and gain are zeroed (the identity model, so filters
+    built from it stay finite) and ``reflections`` keeps the offending k.
+    """
+
+    coeffs: np.ndarray  # (rows, order)
+    reflections: np.ndarray  # (rows, order)
+    gain: np.ndarray  # (rows,)
+    unstable: np.ndarray  # (rows,) bool
+
+    def model(self, row: int) -> LpcModel:
+        return LpcModel(
+            order=self.coeffs.shape[1],
+            coeffs=self.coeffs[row],
+            gain=float(self.gain[row]),
+            reflections=self.reflections[row],
+        )
+
+
 def make_window(kind: str, length: int) -> np.ndarray:
     """Periodic (DFT-even) analysis window of the given length."""
     if length <= 0:
@@ -97,16 +124,6 @@ def make_window(kind: str, length: int) -> np.ndarray:
     raise ValueError(f"unknown window {kind!r}, expected one of {WINDOW_KINDS}")
 
 
-def pre_emphasis(x: np.ndarray, a: float) -> np.ndarray:
-    """y[n] = x[n] - a*x[n-1] with y[0] = x[0]; length preserved."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"pre-emphasis coefficient must lie in [0, 1], got {a}")
-    x = np.asarray(x, dtype=np.float64)
-    y = x.copy()
-    y[1:] -= a * x[:-1]
-    return y
-
-
 def num_frames(length: int, spec: FrameSpec) -> int:
     if length < spec.win_length:
         raise TooShortError(
@@ -118,15 +135,38 @@ def num_frames(length: int, spec: FrameSpec) -> int:
 def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
     """Window-weighted frames, shape (n_frames, win_length).
 
-    Trailing samples that do not fill a whole window are dropped.
+    Trailing samples that do not fill a whole window are dropped.  Rect
+    frames are a read-only strided view of x, not a copy.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = num_frames(len(x), spec)
-    idx = np.arange(spec.win_length)[None, :] + spec.hop_length * np.arange(n)[:, None]
-    frames = x[idx]
+    num_frames(len(x), spec)  # raises TooShortError below one window
+    frames = sliding_window_view(x, spec.win_length)[:: spec.hop_length]
     if spec.window != "rect":
         frames = frames * spec.window_array()[None, :]
     return frames
+
+
+def ola_accumulate(out: np.ndarray, frames: np.ndarray, hop: int, first_frame: int = 0) -> None:
+    """Add frame i into ``out`` at sample (first_frame + i) * hop, in place.
+
+    A shifted sum: one strided slice-add per hop-wide column band of the
+    stack, ceil(win/hop) adds in all, however many frames there are.
+    """
+    rows = frames.shape[0]
+    for lo in range(0, frames.shape[1], hop):
+        band = frames[:, lo : lo + hop]
+        start = first_frame * hop + lo
+        span = out[start : start + (rows - 1) * hop + band.shape[1]]
+        sliding_window_view(span, band.shape[1], writeable=True)[::hop] += band
+
+
+def ola_envelope(spec: FrameSpec, n_frames: int, window_power: int = 1) -> np.ndarray:
+    """Summed window**window_power over n_frames hops, floored: the divisor of
+    overlap_add (power 1) and of the least-squares inverse STFT (power 2)."""
+    w = spec.window_array() ** window_power
+    env = np.zeros((n_frames - 1) * spec.hop_length + spec.win_length)
+    ola_accumulate(env, np.broadcast_to(w, (n_frames, len(w))), spec.hop_length)
+    return np.maximum(env, OLA_ENVELOPE_FLOOR)
 
 
 def overlap_add(frames: np.ndarray, spec: FrameSpec) -> np.ndarray:
@@ -146,28 +186,56 @@ def overlap_add(frames: np.ndarray, spec: FrameSpec) -> np.ndarray:
         raise InconsistentFrameLengthError(
             f"frames have length {frames.shape[1]}, spec expects {spec.win_length}"
         )
-    n, win = frames.shape
-    hop = spec.hop_length
-    out = np.zeros((n - 1) * hop + win)
-    env = np.zeros_like(out)
-    w = spec.window_array()
-    for i in range(n):
-        start = i * hop
-        out[start : start + win] += frames[i]
-        env[start : start + win] += w
-    return out / np.maximum(env, OLA_ENVELOPE_FLOOR)
+    envelope = ola_envelope(spec, frames.shape[0])
+    out = np.zeros_like(envelope)
+    ola_accumulate(out, frames, spec.hop_length)
+    return out / envelope
 
 
-def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation r[k] = sum_n frame[n]*frame[n+k], k = 0..max_lag."""
-    frame = np.asarray(frame, dtype=np.float64)
-    n = len(frame)
+def autocorrelation(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased autocorrelation r[..., k] = sum_n x[..., n]*x[..., n+k], k = 0..max_lag,
+    of each row of (..., n) input."""
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1]
     if max_lag >= n:
         raise LagTooLargeError(f"max_lag={max_lag} must be below frame length {n}")
-    r = np.empty(max_lag + 1)
+    r = np.empty(x.shape[:-1] + (max_lag + 1,))
     for k in range(max_lag + 1):
-        r[k] = np.dot(frame[: n - k], frame[k:])
+        r[..., k] = np.einsum("...i,...i->...", x[..., : n - k], x[..., k:])
     return r
+
+
+def levinson_rows(r: np.ndarray, order: int) -> LpcRows:
+    """Levinson-Durbin on every row of a (rows, >= order+1) autocorrelation stack.
+
+    r[:, 0] is inflated by AUTOCORR_REG before the recursion, which runs over
+    the order with all rows at once.  See LpcRows for silent and unstable rows.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] < order + 1:
+        raise LagTooLargeError(f"need {order + 1} autocorrelation lags per row, got shape {r.shape}")
+    rows = r.shape[0]
+    err = r[:, 0] * (1.0 + AUTOCORR_REG)
+    live = err > 0.0
+    err = np.where(live, err, 1.0)
+    unstable = np.zeros(rows, dtype=bool)
+    a = np.zeros((rows, order))
+    ks = np.zeros((rows, order))
+    for i in range(1, order + 1):
+        head = a[:, : i - 1]
+        acc = r[:, i] + np.einsum("ij,ij->i", head, r[:, i - 1 : 0 : -1])
+        k = np.where(live, -acc / err, 0.0)
+        ks[:, i - 1] = k
+        bad = live & ~(np.abs(k) < 1.0)
+        unstable |= bad
+        live &= ~bad
+        k[bad] = 0.0  # a flagged row stops updating
+        head += k[:, None] * head[:, ::-1]
+        a[:, i - 1] = k
+        err *= 1.0 - k * k
+    a[unstable] = 0.0
+    gain = np.where(live, np.sqrt(err), 0.0)
+    return LpcRows(coeffs=a, reflections=ks, gain=gain, unstable=unstable)
 
 
 def levinson_durbin(r: np.ndarray, order: int) -> LpcModel:
@@ -180,32 +248,36 @@ def levinson_durbin(r: np.ndarray, order: int) -> LpcModel:
     r = np.asarray(r, dtype=np.float64)
     if len(r) < order + 1:
         raise LagTooLargeError(f"need {order + 1} autocorrelation lags, got {len(r)}")
-    r0 = r[0] * (1.0 + AUTOCORR_REG)
-    if not r0 > 0.0:
+    if not r[0] * (1.0 + AUTOCORR_REG) > 0.0:
         raise ValueError(f"autocorrelation r[0] must be positive, got {r[0]}")
-    a = np.zeros(order)
-    ks = np.zeros(order)
-    err = r0
-    for i in range(1, order + 1):
-        acc = r[i] + np.dot(a[: i - 1], r[i - 1 : 0 : -1])
-        k = -acc / err
-        if not abs(k) < 1.0:
-            raise UnstableFrameError(f"reflection coefficient |k_{i}| = {abs(k):.6g} >= 1")
-        ks[i - 1] = k
-        head = a[: i - 1].copy()
-        a[: i - 1] = head + k * head[::-1]
-        a[i - 1] = k
-        err *= 1.0 - k * k
-    return LpcModel(order=order, coeffs=a, gain=float(np.sqrt(err)), reflections=ks)
+    rows = levinson_rows(r[None, :], order)
+    if rows.unstable[0]:
+        ks = rows.reflections[0]
+        i = int(np.argmin(np.abs(ks) < 1.0))
+        raise UnstableFrameError(f"reflection coefficient |k_{i + 1}| = {abs(ks[i]):.6g} >= 1")
+    return rows.model(0)
+
+
+def inverse_filter_rows(frames: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per-row prediction residual e[j, n] = x[j, n] + sum_k coeffs[j, k-1] x[j, n-k],
+    zero initial state, as one einsum over windows of the zero-padded rows."""
+    x = np.asarray(frames, dtype=np.float64)
+    a = np.asarray(coeffs, dtype=np.float64)
+    rows, order = a.shape
+    if x.ndim != 2 or x.shape[0] != rows:
+        raise ValueError(f"{rows} coefficient rows do not match frames of shape {x.shape}")
+    if order == 0:
+        return x.copy()
+    padded = np.concatenate([np.zeros((rows, order)), x], axis=1)
+    windows = sliding_window_view(padded, order + 1, axis=1)  # [j, n, m] = x[j, n + m - order]
+    taps = np.concatenate([a[:, ::-1], np.ones((rows, 1))], axis=1)
+    return np.einsum("jnm,jm->jn", windows, taps)
 
 
 def inverse_filter(x: np.ndarray, model: LpcModel) -> np.ndarray:
     """Prediction residual e[n] = x[n] + sum_k a[k] x[n-k], zero initial state."""
     x = np.asarray(x, dtype=np.float64)
-    if model.order == 0:
-        return x.copy()
-    b = np.concatenate(([1.0], model.coeffs))
-    return lfilter(b, [1.0], x)
+    return inverse_filter_rows(x[None, :], model.coeffs[None, :])[0]
 
 
 def allpole_filter(e: np.ndarray, model: LpcModel) -> np.ndarray:
@@ -218,11 +290,11 @@ def allpole_filter(e: np.ndarray, model: LpcModel) -> np.ndarray:
 
 
 def leaky_integrate(x: np.ndarray, d: float) -> np.ndarray:
-    """y[n] = x[n] + d*y[n-1]; inverse of the differentiator 1 - d z^-1."""
+    """y[n] = x[n] + d*y[n-1] along the last axis; inverse of the differentiator 1 - d z^-1."""
     if not 0.0 < d <= 1.0:
         raise ValueError(f"leak coefficient must lie in (0, 1], got {d}")
     x = np.asarray(x, dtype=np.float64)
-    return lfilter([1.0], [1.0, -d], x)
+    return lfilter([1.0], [1.0, -d], x, axis=-1)
 
 
 def resampled_length(length: int, factor: float) -> int:

@@ -129,13 +129,6 @@ def mel_spectrogram(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     return np.log(np.maximum(power @ fb.T, MEL_LOG_FLOOR))
 
 
-def _parabolic_offset(y_prev: float, y_peak: float, y_next: float) -> float:
-    denom = y_prev - 2.0 * y_peak + y_next
-    if denom == 0.0:
-        return 0.0
-    return 0.5 * (y_prev - y_next) / denom
-
-
 def estimate_f0(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     """Autocorrelation F0 track with parabolic lag refinement.
 
@@ -149,23 +142,24 @@ def estimate_f0(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     lag_lo = max(1, int(np.ceil(fs / cfg.f0_max)))
     lag_hi = min(int(np.floor(fs / cfg.f0_min)), spec.win_length - 1)
     n = frames.shape[0]
-    track = np.zeros(n)
     if lag_lo > lag_hi:
-        return track
-    for i in range(n):
-        r = dsp.autocorrelation(frames[i], lag_hi)
-        if r[0] <= 0.0:
-            continue
-        rho = r / r[0]
-        k = lag_lo + int(np.argmax(rho[lag_lo : lag_hi + 1]))
-        if rho[k] < cfg.voicing_threshold:
-            continue
-        delta = 0.0
-        if lag_lo < k < lag_hi:
-            delta = _parabolic_offset(rho[k - 1], rho[k], rho[k + 1])
-        f0 = fs / (k + delta)
-        track[i] = min(max(f0, cfg.f0_min), cfg.f0_max)
-    return track
+        return np.zeros(n)
+    r = dsp.autocorrelation(frames, lag_hi)
+    voiced = r[:, 0] > 0.0
+    rho = r / np.where(voiced, r[:, 0], 1.0)[:, None]
+    k = lag_lo + np.argmax(rho[:, lag_lo : lag_hi + 1], axis=1)
+    rows = np.arange(n)
+    peak = rho[rows, k]
+    voiced &= peak >= cfg.voicing_threshold
+    # Parabolic refinement through the peak and its neighbours, interior lags only.
+    interior = (lag_lo < k) & (k < lag_hi)
+    y_prev = rho[rows, np.where(interior, k - 1, k)]
+    y_next = rho[rows, np.where(interior, k + 1, k)]
+    denom = y_prev - 2.0 * peak + y_next
+    refine = interior & (denom != 0.0)
+    delta = np.where(refine, 0.5 * (y_prev - y_next) / np.where(refine, denom, 1.0), 0.0)
+    f0 = np.clip(fs / (k + delta), cfg.f0_min, cfg.f0_max)
+    return np.where(voiced, f0, 0.0)
 
 
 def extract_features(audio: AudioBuffer, cfg: FeatureConfig) -> FeatureBundle:

@@ -1,9 +1,10 @@
 """Glottal flow estimation by iterative adaptive inverse filtering.
 
 Per frame, alternating low-order source and high-order vocal-tract LPC
-estimates strip the vocal tract and lip radiation from the speech signal;
-the residual source frames are hann-weighted and overlap-added into one
-utterance-level glottal flow.
+estimates strip the vocal tract and lip radiation from the speech signal
+(IAIF, Alku 1992); the residual source frames are hann-weighted and
+overlap-added into one utterance-level glottal flow.  Every stage runs as one
+array operation over a block of frames.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .errors import TooShortError, UnstableFrameError
 log = logging.getLogger(__name__)
 
 OUTPUT_PEAK = 0.95
+
+# Frames per IAIF block: bounds the per-stage frame stacks, so peak memory does
+# not grow with utterance length beyond the output itself.
+IAIF_BLOCK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,8 @@ class IaifConfig:
             raise ValueError(f"need 0 < hop_ms <= win_ms, got hop={self.hop_ms} win={self.win_ms}")
         if self.highpass_cutoff < 0:
             raise ValueError(f"highpass_cutoff must be nonnegative, got {self.highpass_cutoff}")
+        if self.window not in dsp.WINDOW_KINDS:
+            raise ValueError(f"unknown window {self.window!r}, expected one of {dsp.WINDOW_KINDS}")
 
     def tract_order(self, sample_rate: int) -> int:
         p = self.vocal_tract_order
@@ -102,16 +109,40 @@ def highpass(x: np.ndarray, sample_rate: int, cutoff: float) -> np.ndarray:
     return y
 
 
-def _lpc_of(signal: np.ndarray, window: np.ndarray, order: int) -> dsp.LpcModel:
-    """LPC model of a frame: windowed autocorrelation analysis.
+def _lpc_rows(frames: np.ndarray, window: np.ndarray, order: int) -> dsp.LpcRows:
+    """LPC model of each row: windowed autocorrelation analysis.
 
-    Silent frames (zero energy) yield the zero-coefficient identity model so
-    the surrounding stage sequence degrades to a pass-through.
+    Silent rows (zero energy) get the zero-coefficient identity model, so the
+    surrounding stage sequence degrades to a pass-through.
     """
-    r = dsp.autocorrelation(signal * window, order)
-    if r[0] <= 0.0:
-        return dsp.LpcModel.identity(order)
-    return dsp.levinson_durbin(r, order)
+    return dsp.levinson_rows(dsp.autocorrelation(frames * window, order), order)
+
+
+def _iaif_rows(
+    frames: np.ndarray, cfg: IaifConfig, tract_order: int, window: np.ndarray
+) -> tuple[np.ndarray, dsp.LpcRows, dsp.LpcRows, np.ndarray]:
+    """IAIF on a (rows, win) stack of raw frames, every stage over all rows.
+
+    Returns the glottal rows, the final vocal-tract and glottal-source
+    models, and the mask of rows whose LPC went unstable at some stage; an
+    unstable row's models are zeroed from that stage on, so its glottal row
+    is finite but meaningless.
+    """
+    d = cfg.lip_d
+    tilt = _lpc_rows(frames, window, 1)
+    y1 = dsp.inverse_filter_rows(frames, tilt.coeffs)
+
+    vt1 = _lpc_rows(y1, window, tract_order)
+    g1 = dsp.leaky_integrate(dsp.inverse_filter_rows(frames, vt1.coeffs), d)
+
+    source = _lpc_rows(g1, window, cfg.glottal_order)
+    y2 = dsp.leaky_integrate(dsp.inverse_filter_rows(frames, source.coeffs), d)
+
+    vt2 = _lpc_rows(y2, window, tract_order)
+    glottal = dsp.leaky_integrate(dsp.inverse_filter_rows(frames, vt2.coeffs), d)
+
+    unstable = tilt.unstable | vt1.unstable | source.unstable | vt2.unstable
+    return glottal, vt2, source, unstable
 
 
 def iaif_frame(frame: np.ndarray, cfg: IaifConfig, sample_rate: int) -> GlottalFrameResult:
@@ -129,33 +160,24 @@ def iaif_frame(frame: np.ndarray, cfg: IaifConfig, sample_rate: int) -> GlottalF
     """
     x = np.asarray(frame, dtype=np.float64)
     spec = cfg.frame_spec(sample_rate)
-    if len(x) != spec.win_length:
-        raise ValueError(f"frame length {len(x)} != win_length {spec.win_length}")
-    w = spec.window_array()
-    p = cfg.tract_order(sample_rate)
-    g = cfg.glottal_order
-    d = cfg.lip_d
-
-    tilt = _lpc_of(x, w, 1)
-    y1 = dsp.inverse_filter(x, tilt)
-
-    vt1 = _lpc_of(y1, w, p)
-    g1 = dsp.leaky_integrate(dsp.inverse_filter(x, vt1), d)
-
-    source = _lpc_of(g1, w, g)
-    y2 = dsp.leaky_integrate(dsp.inverse_filter(x, source), d)
-
-    vt2 = _lpc_of(y2, w, p)
-    glottal = dsp.leaky_integrate(dsp.inverse_filter(x, vt2), d)
-
-    return GlottalFrameResult(glottal=glottal, vocal_tract=vt2, glottal_source_model=source)
+    if x.shape != (spec.win_length,):
+        raise ValueError(f"frame shape {x.shape} != ({spec.win_length},)")
+    glottal, vt, source, unstable = _iaif_rows(
+        x[None, :], cfg, cfg.tract_order(sample_rate), spec.window_array()
+    )
+    if unstable[0]:
+        raise UnstableFrameError("a reflection coefficient reached |k| >= 1")
+    return GlottalFrameResult(
+        glottal=glottal[0], vocal_tract=vt.model(0), glottal_source_model=source.model(0)
+    )
 
 
 def extract_glottal_flow(audio: AudioBuffer, cfg: IaifConfig | None = None) -> GlottalFlowResult:
-    """Utterance-level glottal flow via frame-wise IAIF and hann overlap-add.
+    """Utterance-level glottal flow via frame-batched IAIF and hann overlap-add.
 
-    Frames whose LPC goes unstable are passed through raw and tallied; the
-    output is peak-normalized to 0.95.
+    Frames are processed IAIF_BLOCK_FRAMES at a time and each block is
+    overlap-added straight into the output.  Frames whose LPC goes unstable
+    are passed through raw and tallied; the output is peak-normalized to 0.95.
     """
     cfg = cfg or IaifConfig()
     spec = cfg.frame_spec(audio.sample_rate)
@@ -165,23 +187,27 @@ def extract_glottal_flow(audio: AudioBuffer, cfg: IaifConfig | None = None) -> G
             f"{spec.win_length}-sample analysis window"
         )
     x = highpass(audio.samples, audio.sample_rate, cfg.highpass_cutoff)
-    raw_frames = dsp.frame_signal(x, dsp.FrameSpec(spec.win_length, spec.hop_length, "rect"))
+    frames = dsp.frame_signal(x, dsp.FrameSpec(spec.win_length, spec.hop_length, "rect"))
+    n = frames.shape[0]
     w = spec.window_array()
-    out_frames = np.empty_like(raw_frames)
+    p = cfg.tract_order(audio.sample_rate)
+    envelope = dsp.ola_envelope(spec, n)
+    flow = np.zeros_like(envelope)
     unstable = 0
-    for i in range(raw_frames.shape[0]):
-        try:
-            out_frames[i] = iaif_frame(raw_frames[i], cfg, audio.sample_rate).glottal
-        except UnstableFrameError:
-            out_frames[i] = raw_frames[i]
-            unstable += 1
-            log.warning("unstable LPC at frame %d; passing frame through raw", i)
-    flow = dsp.overlap_add(out_frames * w[None, :], spec)
+    for start in range(0, n, IAIF_BLOCK_FRAMES):
+        raw = frames[start : start + IAIF_BLOCK_FRAMES]
+        glottal, _, _, bad = _iaif_rows(raw, cfg, p, w)
+        glottal[bad] = raw[bad]
+        unstable += int(np.count_nonzero(bad))
+        dsp.ola_accumulate(flow, glottal * w[None, :], spec.hop_length, start)
+    if unstable:
+        log.warning("unstable LPC in %d of %d frames; passed them through raw", unstable, n)
+    flow /= envelope
     peak = np.max(np.abs(flow))
     if peak > 0.0:
         flow = flow * (OUTPUT_PEAK / peak)
     return GlottalFlowResult(
         flow=AudioBuffer(samples=flow, sample_rate=audio.sample_rate),
         unstable_frames=unstable,
-        total_frames=raw_frames.shape[0],
+        total_frames=n,
     )

@@ -83,23 +83,6 @@ def _spectral_distance(mags: np.ndarray, target: np.ndarray) -> float:
     return float(np.sqrt(np.sum(sq[:, [0, -1]]) + 2.0 * np.sum(sq[:, 1:-1])))
 
 
-def _istft_least_squares(spectra: np.ndarray, spec: dsp.FrameSpec, n_fft: int) -> np.ndarray:
-    """Least-squares inverse STFT: window-weighted frames over a squared-window
-    envelope. This is the projection Griffin-Lim's convergence proof needs,
-    unlike the amplitude-normalized overlap_add in dsp."""
-    frames = np.fft.irfft(spectra, n=n_fft, axis=1)[:, : spec.win_length]
-    n, win = frames.shape
-    hop = spec.hop_length
-    w = spec.window_array()
-    out = np.zeros((n - 1) * hop + win)
-    env = np.zeros_like(out)
-    for i in range(n):
-        start = i * hop
-        out[start : start + win] += frames[i] * w
-        env[start : start + win] += w * w
-    return out / np.maximum(env, dsp.OLA_ENVELOPE_FLOOR)
-
-
 def griffin_lim(
     magnitudes: np.ndarray,
     spec: dsp.FrameSpec,
@@ -121,12 +104,25 @@ def griffin_lim(
         raise ShapeMismatchError(
             f"win_length {spec.win_length} exceeds n_fft {n_fft} implied by the magnitudes"
         )
+    # Least-squares inverse STFT: frames weighted once more by the window,
+    # over the squared-window envelope (computed once for every iteration).
+    # This is the projection Griffin-Lim's convergence proof needs.
+    w = spec.window_array()
+    envelope = dsp.ola_envelope(spec, target.shape[0], window_power=2)
+
+    def istft(spectra: np.ndarray) -> np.ndarray:
+        frames = np.fft.irfft(spectra, n=n_fft, axis=1)[:, : spec.win_length]
+        frames *= w
+        out = np.zeros_like(envelope)
+        dsp.ola_accumulate(out, frames, spec.hop_length)
+        return out / envelope
+
     if cfg.init_phase == "zeros":
         phase = np.ones_like(target, dtype=np.complex128)
     else:
         rng = np.random.default_rng(cfg.seed)
         phase = np.exp(2j * np.pi * rng.random(target.shape))
-    x = _istft_least_squares(target * phase, spec, n_fft)
+    x = istft(target * phase)
     objective = np.empty(cfg.n_iters + 1)
     for it in range(cfg.n_iters + 1):
         spectra = _stft(x, spec, n_fft)
@@ -136,7 +132,7 @@ def griffin_lim(
             break
         # Keep measured phase, impose target magnitude; guard zero bins.
         unit = np.where(mags > 0.0, spectra / np.maximum(mags, 1e-300), 1.0)
-        x = _istft_least_squares(target * unit, spec, n_fft)
+        x = istft(target * unit)
     peak = np.max(np.abs(x))
     if peak > 0.0:
         x = x * (OUTPUT_PEAK / peak)

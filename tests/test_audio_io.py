@@ -163,6 +163,13 @@ class TestManifest:
         with pytest.raises(ParseError, match=":2"):
             audio_io.read_manifest(path)
 
+    @pytest.mark.parametrize("utt_id", ["", ".", "..", "../x", "a/b", "a\\b", "/abs"])
+    def test_id_must_be_plain_file_name(self, tmp_path, utt_id):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"u1\ta.wav\tbonafide\t-\n{utt_id}\tb.wav\tspoof\tA07\n")
+        with pytest.raises(ParseError, match=":2"):
+            audio_io.read_manifest(path)
+
     def test_bonafide_with_attack_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("u1\ta.wav\tbonafide\tA07\n")

@@ -211,6 +211,30 @@ class TestConfig:
         assert main(["glottal", str(corpus), "--out", str(tmp_path / "o"), "--config", str(bad)]) == 1
         assert main(["glottal", "--out", str(tmp_path / "o")]) == 1  # missing manifest arg
 
+    def test_bad_iaif_window_is_config_error(self, corpus, tmp_path):
+        bad = tmp_path / "window.json"
+        bad.write_text('{"iaif": {"window": "bogus"}}')
+        out = tmp_path / "o"
+        assert main(["glottal", str(corpus), "--out", str(out), "--config", str(bad)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--jobs", "-2"], ["--seed", "-5"],
+                                      ["--jobs", "two"]])
+    def test_bad_flags_rejected_at_parse(self, corpus, tmp_path, flag, capsys):
+        out = tmp_path / "o"
+        assert main(["glottal", str(corpus), "--out", str(out)] + flag) == 1
+        assert not out.exists()
+        assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("utt_id", ["../escaped", "a/b", "a\\b", "..", ".", ""])
+    def test_manifest_ids_stay_inside_out(self, corpus, tmp_path, utt_id):
+        manifest = corpus.parent / "hostile.tsv"
+        manifest.write_text(corpus.read_text() + f"{utt_id}\tutt0.wav\tbonafide\t-\n")
+        before = set(tmp_path.rglob("*"))
+        out = tmp_path / "sub" / "out"
+        assert main(["glottal", str(manifest), "--out", str(out)]) == 1
+        assert set(tmp_path.rglob("*")) == before
+
     def test_echo_written_before_outputs(self, corpus, tmp_path):
         out = tmp_path / "echo"
         main(["features", str(corpus), "--out", str(out)])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from conftest import random_stable_model, separated_stable_model
 from rhythmkit import dsp
@@ -9,22 +12,6 @@ from rhythmkit.errors import (
     TooShortError,
     UnstableFrameError,
 )
-
-
-class TestPreEmphasis:
-    def test_zero_coefficient_is_identity(self):
-        x = np.linspace(-1, 1, 50)
-        assert np.array_equal(dsp.pre_emphasis(x, 0.0), x)
-
-    def test_constant_signal_telescopes(self):
-        y = dsp.pre_emphasis(np.full(10, 0.3), 1.0)
-        assert y[0] == pytest.approx(0.3)
-        assert np.allclose(y[1:], 0.0)
-
-    def test_impulse(self):
-        x = np.zeros(5)
-        x[0] = 1.0
-        assert np.allclose(dsp.pre_emphasis(x, 0.97), [1.0, -0.97, 0.0, 0.0, 0.0])
 
 
 class TestFraming:
@@ -74,6 +61,24 @@ class TestOverlapAdd:
         spec = dsp.FrameSpec(320, 160, "hann")
         out = dsp.overlap_add(np.zeros((5, 320)), spec)
         assert len(out) == 4 * 160 + 320
+
+    @pytest.mark.parametrize("win,hop", [(8, 8), (10, 3), (64, 16), (7, 1)])
+    def test_matches_per_frame_loop(self, win, hop):
+        rng = np.random.default_rng(win * hop)
+        spec = dsp.FrameSpec(win, hop, "hamming")
+        frames = rng.standard_normal((9, win))
+        out = np.zeros((9 - 1) * hop + win)
+        env = np.zeros_like(out)
+        for i, frame in enumerate(frames):  # reference: one add per frame
+            out[i * hop : i * hop + win] += frame
+            env[i * hop : i * hop + win] += spec.window_array()
+        ref = out / np.maximum(env, dsp.OLA_ENVELOPE_FLOOR)
+        assert np.allclose(dsp.overlap_add(frames, spec), ref, rtol=1e-12, atol=1e-12)
+        # Block-wise accumulation at frame offsets sums to the same signal.
+        blocks = np.zeros_like(out)
+        for start in range(0, 9, 4):
+            dsp.ola_accumulate(blocks, frames[start : start + 4], hop, start)
+        assert np.allclose(blocks, out, rtol=1e-12, atol=1e-12)
 
     def test_mixed_lengths_rejected(self):
         spec = dsp.FrameSpec(4, 2, "rect")
@@ -280,3 +285,110 @@ class TestLinearResample:
         assert dsp.resampled_length(1, 0.2) == 1  # floor at 1
         assert dsp.resampled_length(20, 0.5) == 10
         assert dsp.resampled_length(5, 1.1) == 6  # 5.5 -> 6
+
+
+# -- frame-batched kernels against the 1-D calls and the loop references ------
+
+def _autocorrelation_loop(frame, max_lag):
+    """Reference: one dot product per lag."""
+    n = len(frame)
+    return np.array([np.dot(frame[: n - k], frame[k:]) for k in range(max_lag + 1)])
+
+
+def _levinson_loop(r, order):
+    """Reference: scalar Levinson-Durbin; (coeffs, reflections) or None when unstable."""
+    a = np.zeros(order)
+    ks = np.zeros(order)
+    err = r[0] * (1.0 + dsp.AUTOCORR_REG)
+    for i in range(1, order + 1):
+        k = -(r[i] + np.dot(a[: i - 1], r[i - 1 : 0 : -1])) / err
+        if not abs(k) < 1.0:
+            return None
+        ks[i - 1] = k
+        head = a[: i - 1].copy()
+        a[: i - 1] = head + k * head[::-1]
+        a[i - 1] = k
+        err *= 1.0 - k * k
+    return a, ks
+
+
+@st.composite
+def frame_stacks(draw, min_len=8, max_len=64):
+    """(rows, n) float stacks whose rows span many scales, some rows all zero."""
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(min_len, max_len))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6, 2, size=(rows, 1))
+    x = rng.standard_normal((rows, n)) * scale
+    zero = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    x[np.array(zero)] = 0.0
+    return x
+
+
+def _close(a, b, scale):
+    np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12 * scale)
+
+
+class TestBatchedRows:
+    @settings(max_examples=60, deadline=None)
+    @given(frame_stacks(), st.integers(0, 7))
+    def test_autocorrelation_rows(self, x, max_lag):
+        r = dsp.autocorrelation(x, max_lag)
+        assert r.shape == (x.shape[0], max_lag + 1)
+        for i, row in enumerate(x):
+            scale = max(np.dot(row, row), 1e-300)
+            _close(r[i], dsp.autocorrelation(row, max_lag), scale)
+            _close(r[i], _autocorrelation_loop(row, max_lag), scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_stacks(min_len=20), st.integers(1, 12))
+    def test_levinson_rows_on_frames(self, x, order):
+        self._check_levinson(dsp.autocorrelation(x, order), order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
+    def test_levinson_rows_on_arbitrary_lags(self, seed, rows, order):
+        # Arbitrary lag vectors, often not positive definite: exercises the
+        # unstable mask next to silent (r[0] <= 0) rows.
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(-1.0, 1.0, size=(rows, order + 1))
+        r[:, 0] = rng.choice([0.0, -0.5, 1.0, 3.0], size=rows)
+        self._check_levinson(r, order)
+
+    def _check_levinson(self, r, order):
+        batch = dsp.levinson_rows(r, order)
+        assert batch.coeffs.shape == batch.reflections.shape == (len(r), order)
+        for i, row in enumerate(r):
+            if not row[0] > 0.0:
+                assert not batch.unstable[i]
+                assert np.all(batch.coeffs[i] == 0.0) and batch.gain[i] == 0.0
+                with pytest.raises(ValueError):
+                    dsp.levinson_durbin(row, order)
+                continue
+            ref = _levinson_loop(row, order)
+            if ref is None or batch.unstable[i]:
+                assert ref is None and batch.unstable[i]
+                assert np.all(batch.coeffs[i] == 0.0)
+                with pytest.raises(UnstableFrameError):
+                    dsp.levinson_durbin(row, order)
+                continue
+            model = dsp.levinson_durbin(row, order)
+            assert np.array_equal(batch.coeffs[i], model.coeffs)
+            assert np.array_equal(batch.reflections[i], model.reflections)
+            assert batch.gain[i] == model.gain
+            np.testing.assert_allclose(batch.coeffs[i], ref[0], rtol=1e-7, atol=1e-9)
+            np.testing.assert_allclose(batch.reflections[i], ref[1], rtol=1e-7, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_stacks(), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    def test_inverse_filter_rows(self, x, order, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-2.0, 2.0, size=(x.shape[0], order))
+        e = dsp.inverse_filter_rows(x, coeffs)
+        assert e.shape == x.shape
+        for i, row in enumerate(x):
+            model = dsp.LpcModel(order=order, coeffs=coeffs[i], gain=1.0)
+            scale = max(np.max(np.abs(row)), 1e-300) * (1.0 + np.sum(np.abs(coeffs[i])))
+            _close(e[i], dsp.inverse_filter(row, model), scale)
+            _close(e[i], lfilter(np.concatenate(([1.0], coeffs[i])), [1.0], row), scale)

@@ -1,10 +1,13 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import FS, two_formant_voice
-from rhythmkit import dsp, glottal
+from rhythmkit import dsp
 from rhythmkit.audio_io import AudioBuffer
-from rhythmkit.errors import TooShortError, UnstableFrameError
+from rhythmkit.errors import TooShortError
 from rhythmkit.glottal import IaifConfig, extract_glottal_flow, highpass, iaif_frame
 
 
@@ -133,20 +136,65 @@ class TestExtractGlottalFlow:
 
     def test_unstable_frames_passed_through_raw(self, monkeypatch):
         voice, _ = two_formant_voice(seconds=0.2)
-        calls = {"n": 0}
-        real = glottal.iaif_frame
+        cfg = IaifConfig()
+        injected = set()
+        real = dsp.levinson_rows
 
-        def flaky(frame, cfg, sample_rate):
-            calls["n"] += 1
-            if calls["n"] % 5 == 0:
-                raise UnstableFrameError("synthetic instability")
-            return real(frame, cfg, sample_rate)
+        def flaky(r, order):
+            rows = real(r, order)
+            flag = np.zeros(len(r), dtype=bool)
+            flag[4::5] = True
+            injected.update(np.flatnonzero(flag))
+            return replace(
+                rows,
+                coeffs=np.where(flag[:, None], 0.0, rows.coeffs),
+                unstable=rows.unstable | flag,
+            )
 
-        monkeypatch.setattr(glottal, "iaif_frame", flaky)
-        res = extract_glottal_flow(voice, IaifConfig())
-        assert res.unstable_frames == calls["n"] // 5
+        blocks = []
+        real_ola = dsp.ola_accumulate
+
+        def recording_ola(out, frames, hop, first_frame=0):
+            blocks.append(np.array(frames))
+            real_ola(out, frames, hop, first_frame)
+
+        monkeypatch.setattr(dsp, "levinson_rows", flaky)
+        monkeypatch.setattr(dsp, "ola_accumulate", recording_ola)
+        res = extract_glottal_flow(voice, cfg)
+        assert res.unstable_frames == len(injected)
         assert res.unstable_frames > 0
         assert np.all(np.isfinite(res.flow.samples))
+        # Flagged frames reach the overlap-add raw (hann-weighted highpassed input).
+        spec = cfg.frame_spec(FS)
+        x = highpass(voice.samples, FS, cfg.highpass_cutoff)
+        raw = dsp.frame_signal(x, spec)
+        frames = blocks[-1]  # the one block of frames; earlier calls build the envelope
+        assert len(frames) == res.total_frames
+        flagged = sorted(injected)
+        assert np.array_equal(frames[flagged], raw[flagged])
+        stable = np.setdiff1d(np.arange(len(frames)), flagged)
+        assert not np.allclose(frames[stable], raw[stable])
+
+    def test_one_warning_per_utterance(self, monkeypatch, caplog):
+        voice, _ = two_formant_voice(seconds=0.2)
+        real = dsp.levinson_rows
+
+        def all_unstable(r, order):
+            rows = real(r, order)
+            return replace(rows, coeffs=0.0 * rows.coeffs, unstable=np.ones(len(r), dtype=bool))
+
+        monkeypatch.setattr(dsp, "levinson_rows", all_unstable)
+        with caplog.at_level(logging.WARNING, logger="rhythmkit.glottal"):
+            res = extract_glottal_flow(voice)
+        warnings = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert f"{res.unstable_frames} of {res.total_frames}" in warnings[0].getMessage()
+
+    def test_no_warning_when_stable(self, caplog):
+        voice, _ = two_formant_voice(seconds=0.2)
+        with caplog.at_level(logging.WARNING, logger="rhythmkit.glottal"):
+            assert extract_glottal_flow(voice).unstable_frames == 0
+        assert not caplog.records
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -155,6 +203,8 @@ class TestExtractGlottalFlow:
             IaifConfig(hop_ms=30.0, win_ms=25.0)
         with pytest.raises(ValueError):
             IaifConfig(vocal_tract_order=3, glottal_order=4).frame_spec(FS)
+        with pytest.raises(ValueError):
+            IaifConfig(window="bogus")
 
     def test_default_orders_follow_rate(self):
         assert IaifConfig().tract_order(16000) == 18
