@@ -198,8 +198,9 @@ def extract_glottal_flow(audio: AudioBuffer, cfg: IaifConfig | None = None) -> G
         raw = frames[start : start + IAIF_BLOCK_FRAMES]
         glottal, _, _, bad = _iaif_rows(raw, cfg, p, w)
         glottal[bad] = raw[bad]
+        glottal *= w
         unstable += int(np.count_nonzero(bad))
-        dsp.ola_accumulate(flow, glottal * w[None, :], spec.hop_length, start)
+        dsp.ola_accumulate(flow, glottal, spec.hop_length, start)
     if unstable:
         log.warning("unstable LPC in %d of %d frames; passed them through raw", unstable, n)
     flow /= envelope
