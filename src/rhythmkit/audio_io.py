@@ -9,7 +9,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Iterator
 
 import numpy as np
 
@@ -21,9 +21,6 @@ from .errors import (
     UnsupportedFormatError,
     VersionMismatchError,
 )
-
-if TYPE_CHECKING:
-    from .features import FeatureBundle
 
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
@@ -62,6 +59,46 @@ class AudioBuffer:
 
 
 @dataclass(frozen=True)
+class FeatureBundle:
+    """Time-aligned log-mel frames and F0 track plus the framing metadata."""
+
+    mel: np.ndarray  # (n_frames, n_mels), natural log of floored mel power
+    f0: np.ndarray  # (n_frames,), Hz; 0.0 = unvoiced
+    sample_rate: float
+    hop_length: int
+    win_length: int
+
+    def __post_init__(self) -> None:
+        mel = np.asarray(self.mel, dtype=np.float64)
+        f0 = np.asarray(self.f0, dtype=np.float64)
+        if mel.ndim != 2:
+            raise ValueError(f"mel must be 2-D, got shape {mel.shape}")
+        if f0.shape != (mel.shape[0],):
+            raise ValueError(f"mel has {mel.shape[0]} frames but f0 has shape {f0.shape}")
+        object.__setattr__(self, "mel", mel)
+        object.__setattr__(self, "f0", f0)
+
+    @property
+    def n_frames(self) -> int:
+        return self.mel.shape[0]
+
+    @property
+    def n_mels(self) -> int:
+        return self.mel.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FeatureBundle):
+            return NotImplemented
+        return (
+            np.array_equal(self.mel, other.mel)
+            and np.array_equal(self.f0, other.f0)
+            and self.sample_rate == other.sample_rate
+            and self.hop_length == other.hop_length
+            and self.win_length == other.win_length
+        )
+
+
+@dataclass(frozen=True)
 class ManifestEntry:
     """One corpus row: utterance id, audio path, bonafide/spoof key, attack tag."""
 
@@ -71,6 +108,9 @@ class ManifestEntry:
     attack: str
 
     def __post_init__(self) -> None:
+        # Ids name output files inside --out, so they must be plain file names.
+        if self.utt_id in ("", ".", "..") or "/" in self.utt_id or "\\" in self.utt_id:
+            raise ValueError(f"utt_id {self.utt_id!r} is not a plain file name")
         if self.key not in MANIFEST_KEYS:
             raise ValueError(f"key must be one of {MANIFEST_KEYS}, got {self.key!r}")
         if self.key == "bonafide" and self.attack != BONAFIDE_ATTACK:
@@ -182,28 +222,39 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
     Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
-def read_manifest(path: str | Path) -> list[ManifestEntry]:
-    """Parse a TSV manifest: utt_id, path, key, attack; one entry per line."""
+def read_tsv(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) per non-blank line of a UTF-8 TSV file.
+
+    Each line needs n_fields tab-separated fields and a first field no earlier
+    line used; ``what`` names the file kind in errors."""
     path = Path(path)
     if not path.is_file():
-        raise FileNotFoundError(f"no such manifest: {path}")
-    entries: list[ManifestEntry] = []
+        raise FileNotFoundError(f"no such {what}: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {what} is not UTF-8 text: {exc}") from exc
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-        utt_id, wav_path, key, attack = fields
-        # Ids name output files inside --out, so they must be plain file names.
-        if utt_id in ("", ".", "..") or "/" in utt_id or "\\" in utt_id:
-            raise ParseError(f"{path}:{lineno}: utt_id {utt_id!r} is not a plain file name")
-        if utt_id in seen:
-            raise DuplicateIdError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
-        seen.add(utt_id)
+        if len(fields) != n_fields:
+            raise ParseError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        if fields[0] in seen:
+            raise DuplicateIdError(f"{path}:{lineno}: duplicate id {fields[0]!r}")
+        seen.add(fields[0])
+        yield lineno, fields
+
+
+def read_manifest(path: str | Path) -> list[ManifestEntry]:
+    """Parse a TSV manifest: utt_id, path, key, attack; one entry per line."""
+    entries: list[ManifestEntry] = []
+    for lineno, fields in read_tsv(path, 4, "manifest"):
         try:
-            entries.append(ManifestEntry(utt_id=utt_id, path=wav_path, key=key, attack=attack))
+            entries.append(ManifestEntry(*fields))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return entries
@@ -214,7 +265,7 @@ def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def write_features(path: str | Path, bundle: "FeatureBundle") -> None:
+def write_features(path: str | Path, bundle: FeatureBundle) -> None:
     """Serialize a FeatureBundle; read_features inverts this bit-exactly."""
     mel = np.ascontiguousarray(bundle.mel, dtype="<f8")
     f0 = np.ascontiguousarray(bundle.f0, dtype="<f8")
@@ -231,10 +282,8 @@ def write_features(path: str | Path, bundle: "FeatureBundle") -> None:
     Path(path).write_bytes(header + mel.tobytes() + f0.tobytes())
 
 
-def read_features(path: str | Path) -> "FeatureBundle":
+def read_features(path: str | Path) -> FeatureBundle:
     """Parse a feature file back into a FeatureBundle; never returns a partial bundle."""
-    from .features import FeatureBundle  # deferred: audio_io <-> features cycle
-
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such feature file: {path}")

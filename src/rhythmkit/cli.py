@@ -9,14 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Callable
+from types import NoneType, UnionType
+from typing import Any, Callable, get_args, get_type_hints
 
 from . import audio_io, evaluation
-from .dsp import FrameSpec
+from .audio_io import AudioBuffer, ManifestEntry
 from .errors import RhythmkitError
 from .features import FeatureConfig, extract_features
 from .glottal import IaifConfig, extract_glottal_flow
@@ -36,162 +38,121 @@ class ConfigError(RhythmkitError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One section per stage config, laid out as the document by config_as_dict.
+
+    Metadata "section" files a scalar under that section; "tied" names the
+    section's fields that take the top-level value of the same name."""
+
     seed: int = 0
-    encoding: str = "pcm16"
+    encoding: str = field(default="pcm16", metadata={"section": "audio"})
     iaif: IaifConfig = IaifConfig()
     features: FeatureConfig = FeatureConfig()
-    rpm: RpmConfig = RpmConfig()
+    rpm: RpmConfig = field(default=RpmConfig(), metadata={"tied": ("seed",)})
     griffin_lim: GriffinLimConfig = GriffinLimConfig()
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.encoding not in ("pcm16", "float32"):
+            raise ValueError(f"audio.encoding must be pcm16 or float32, got {self.encoding!r}")
 
-def _section(doc: dict, name: str, allowed: tuple[str, ...]) -> dict:
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(section) - set(allowed)
+
+def _to_doc(obj: Any, top: bool, skip: tuple[str, ...] = ()) -> dict:
+    """Fields as document keys: below the top, a nested dataclass is spliced in."""
+    doc: dict = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value) and top:
+            doc[f.name] = _to_doc(value, False, f.metadata.get("tied", ()))
+        elif is_dataclass(value):
+            doc.update(_to_doc(value, False))
+        elif "section" in f.metadata:
+            doc.setdefault(f.metadata["section"], {})[f.name] = value
+        elif f.name not in skip:
+            doc[f.name] = value
+    return doc
+
+
+def config_as_dict(cfg: RunConfig) -> dict:
+    return _to_doc(cfg, top=True)
+
+
+def _typed(value: Any, hint: Any, name: str) -> Any:
+    """value checked against a field's type hint: a float field also takes
+    ints, no field takes bools, and only an ``X | None`` field takes null."""
+    kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    if isinstance(value, bool) or not any(
+        isinstance(value, (int, float) if kind is float else kind) for kind in kinds
+    ):
+        names = " or ".join("null" if kind is NoneType else kind.__name__ for kind in kinds)
+        raise ConfigError(f"{name} must be {names}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # JSON NaN and Infinity
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _from_doc(default: Any, doc: dict, top: bool, where: str = "") -> Any:
+    """Inverse of _to_doc: a copy of default with the fields doc names replaced."""
+    hints = get_type_hints(type(default))
+    changes = {}
+    for f in fields(default):
+        current = getattr(default, f.name)
+        section = f.metadata.get("section")
+        values = doc.get(section, {}) if section else doc
+        if is_dataclass(current) and top:
+            tied = {name: doc[name] for name in f.metadata.get("tied", ()) if name in doc}
+            section_doc = {**doc.get(f.name, {}), **tied}
+            changes[f.name] = _from_doc(current, section_doc, False, f"{f.name}.")
+        elif is_dataclass(current):
+            changes[f.name] = _from_doc(current, doc, False, where)
+        elif f.name in values:
+            prefix = f"{section}." if section else where
+            changes[f.name] = _typed(values[f.name], hints[f.name], prefix + f.name)
+    return replace(default, **changes)
+
+
+def _check_keys(doc: Any, schema: dict, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {where} must be an object")
+    unknown = set(doc) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    return section
+        raise ConfigError(f"unknown keys in config {where}: {sorted(unknown)}")
+    for name, value in doc.items():
+        if isinstance(schema[name], dict):
+            _check_keys(value, schema[name], f"section {name!r}")
 
 
 def build_run_config(doc: dict) -> RunConfig:
-    """Strict-parse a config document; unknown keys are rejected."""
-    top_allowed = ("seed", "audio", "iaif", "features", "rpm", "griffin_lim")
-    unknown = set(doc) - set(top_allowed)
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+    """Strict-parse a config document; unknown keys and mistyped values are rejected."""
+    default = RunConfig()
+    _check_keys(doc, config_as_dict(default), "root")
     try:
-        audio = _section(doc, "audio", ("encoding",))
-        encoding = audio.get("encoding", "pcm16")
-        if encoding not in ("pcm16", "float32"):
-            raise ConfigError(f"audio.encoding must be pcm16 or float32, got {encoding!r}")
-        iaif = IaifConfig(
-            **_section(
-                doc,
-                "iaif",
-                (
-                    "vocal_tract_order",
-                    "glottal_order",
-                    "lip_d",
-                    "win_ms",
-                    "hop_ms",
-                    "window",
-                    "highpass_cutoff",
-                ),
-            )
-        )
-        feat = _section(
-            doc,
-            "features",
-            (
-                "n_fft",
-                "win_length",
-                "hop_length",
-                "window",
-                "n_mels",
-                "fmin",
-                "fmax",
-                "f0_min",
-                "f0_max",
-                "voicing_threshold",
-            ),
-        )
-        frame = FrameSpec(
-            feat.pop("win_length", 1024), feat.pop("hop_length", 256), feat.pop("window", "hann")
-        )
-        features = FeatureConfig(frame=frame, **feat)
-        seed = doc.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-        rpm = RpmConfig(
-            seed=seed,
-            **_section(doc, "rpm", ("seg_min", "seg_max", "factor_lo", "factor_hi")),
-        )
-        griffin_lim = GriffinLimConfig(
-            **_section(doc, "griffin_lim", ("n_iters", "init_phase", "seed"))
-        )
+        return _from_doc(default, doc, top=True)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        seed=seed,
-        encoding=encoding,
-        iaif=iaif,
-        features=features,
-        rpm=rpm,
-        griffin_lim=griffin_lim,
-    )
 
 
-def load_run_config(path: str | None, seed_override: int | None) -> RunConfig:
+def load_run_config(path: str | None, seed: int | None, rpm: dict | None = None) -> RunConfig:
+    """Parse the config file with the given --seed and rpm flag values laid over it."""
     doc: dict = {}
     if path is not None:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    cfg = build_run_config(doc)
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override, rpm=replace(cfg.rpm, seed=seed_override))
-    return cfg
-
-
-def config_as_dict(cfg: RunConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "audio": {"encoding": cfg.encoding},
-        "iaif": {
-            "vocal_tract_order": cfg.iaif.vocal_tract_order,
-            "glottal_order": cfg.iaif.glottal_order,
-            "lip_d": cfg.iaif.lip_d,
-            "win_ms": cfg.iaif.win_ms,
-            "hop_ms": cfg.iaif.hop_ms,
-            "window": cfg.iaif.window,
-            "highpass_cutoff": cfg.iaif.highpass_cutoff,
-        },
-        "features": {
-            "n_fft": cfg.features.n_fft,
-            "win_length": cfg.features.frame.win_length,
-            "hop_length": cfg.features.frame.hop_length,
-            "window": cfg.features.frame.window,
-            "n_mels": cfg.features.n_mels,
-            "fmin": cfg.features.fmin,
-            "fmax": cfg.features.fmax,
-            "f0_min": cfg.features.f0_min,
-            "f0_max": cfg.features.f0_max,
-            "voicing_threshold": cfg.features.voicing_threshold,
-        },
-        "rpm": {
-            "seg_min": cfg.rpm.seg_min,
-            "seg_max": cfg.rpm.seg_max,
-            "factor_lo": cfg.rpm.factor_lo,
-            "factor_hi": cfg.rpm.factor_hi,
-        },
-        "griffin_lim": {
-            "n_iters": cfg.griffin_lim.n_iters,
-            "init_phase": cfg.griffin_lim.init_phase,
-            "seed": cfg.griffin_lim.seed,
-        },
-    }
-
-
-def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
-    # Written before any output file so every run directory is self-describing.
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.effective.json").write_text(
-        json.dumps(config_as_dict(cfg), indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def _resolve_path(entry_path: str, manifest_path: Path) -> Path:
-    p = Path(entry_path)
-    return p if p.is_absolute() else manifest_path.parent / p
+    if seed is not None:
+        doc = {**doc, "seed": seed}
+    flags = {name: value for name, value in (rpm or {}).items() if value is not None}
+    if flags and isinstance(doc.get("rpm", {}), dict):
+        doc = {**doc, "rpm": {**doc.get("rpm", {}), **flags}}
+    return build_run_config(doc)
 
 
 def _run_batch(
-    entries: list[audio_io.ManifestEntry],
-    worker: Callable[[audio_io.ManifestEntry], Any],
+    entries: list[ManifestEntry],
+    worker: Callable[[ManifestEntry], Any],
     jobs: int,
 ) -> tuple[list[Any], int]:
     """Apply worker to each entry, per-file errors logged and counted, never fatal.
@@ -215,102 +176,100 @@ def _run_batch(
     return results, sum(r is None for r in results)
 
 
-def cmd_glottal(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args.seed)
+def _run_manifest(
+    args: argparse.Namespace,
+    cfg: RunConfig,
+    label: str,
+    worker: Callable[[ManifestEntry, AudioBuffer, Path], Any],
+    select: Callable[[list[ManifestEntry]], list[ManifestEntry]] = list,
+    finish: Callable[[list[Any], Path], str] = lambda results, out_dir: "",
+) -> int:
+    """Shared batch steps: read the manifest, echo the config, run worker(entry,
+    audio, out_dir) on the selected entries and log a summary ending in what
+    finish(results of the files that succeeded, out_dir) returns."""
     manifest_path = Path(args.manifest)
     entries = audio_io.read_manifest(manifest_path)
     out_dir = Path(args.out)
-    _echo_config(cfg, out_dir)
-    if not entries:
-        log.warning("manifest %s is empty; nothing to do", manifest_path)
+    # Written before any output file so every run directory is self-describing.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.effective.json").write_text(
+        json.dumps(config_as_dict(cfg), indent=2) + "\n", encoding="utf-8"
+    )
+    selected = select(entries)
+    if not selected:
+        log.warning("%s: nothing to do in manifest %s", label, manifest_path)
         return EXIT_OK
 
-    def worker(entry: audio_io.ManifestEntry) -> tuple[int, int]:
-        buf = audio_io.read_wav(_resolve_path(entry.path, manifest_path))
+    def run(entry: ManifestEntry) -> Any:
+        # Relative to the manifest's directory; an absolute path replaces it.
+        return worker(entry, audio_io.read_wav(manifest_path.parent / entry.path), out_dir)
+
+    results, failures = _run_batch(selected, run, args.jobs)
+    note = finish([r for r in results if r is not None], out_dir)
+    log.info("%s: %d/%d files ok%s", label, len(selected) - failures, len(selected), note)
+    return EXIT_PARTIAL if failures else EXIT_OK
+
+
+def cmd_glottal(args: argparse.Namespace) -> int:
+    cfg = load_run_config(args.config, args.seed)
+
+    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> Any:
         result = extract_glottal_flow(buf, cfg.iaif)
         audio_io.write_wav(out_dir / f"{entry.utt_id}.glottal.wav", result.flow, cfg.encoding)
         return result.unstable_frames, result.total_frames
 
-    results, failures = _run_batch(entries, worker, args.jobs)
-    skipped = sum(r[0] for r in results if r is not None)
-    total = sum(r[1] for r in results if r is not None)
-    log.info(
-        "glottal: %d/%d files ok, %d/%d frames passed through raw",
-        len(entries) - failures, len(entries), skipped, total,
-    )
-    return EXIT_PARTIAL if failures else EXIT_OK
+    def frames_note(results: list[tuple[int, int]], out_dir: Path) -> str:
+        unstable, total = sum(r[0] for r in results), sum(r[1] for r in results)
+        return f", {unstable}/{total} frames passed through raw"
+
+    return _run_manifest(args, cfg, "glottal", worker, finish=frames_note)
 
 
 def cmd_features(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.seed)
-    manifest_path = Path(args.manifest)
-    entries = audio_io.read_manifest(manifest_path)
-    out_dir = Path(args.out)
-    _echo_config(cfg, out_dir)
-    if not entries:
-        log.warning("manifest %s is empty; nothing to do", manifest_path)
-        return EXIT_OK
 
-    def worker(entry: audio_io.ManifestEntry) -> bool:
-        buf = audio_io.read_wav(_resolve_path(entry.path, manifest_path))
+    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> bool:
         bundle = extract_features(buf, cfg.features)
         audio_io.write_features(out_dir / f"{entry.utt_id}.rfb", bundle)
         return True
 
-    _, failures = _run_batch(entries, worker, args.jobs)
-    log.info("features: %d/%d files ok", len(entries) - failures, len(entries))
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return _run_manifest(args, cfg, "features", worker)
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args.seed)
-    rpm_cfg = cfg.rpm
-    if args.factor_lo is not None or args.factor_hi is not None:
-        rpm_cfg = replace(
-            rpm_cfg,
-            factor_lo=args.factor_lo if args.factor_lo is not None else rpm_cfg.factor_lo,
-            factor_hi=args.factor_hi if args.factor_hi is not None else rpm_cfg.factor_hi,
-        )
-        cfg = replace(cfg, rpm=rpm_cfg)
+    cfg = load_run_config(
+        args.config, args.seed, {"factor_lo": args.factor_lo, "factor_hi": args.factor_hi}
+    )
     use_rpm = args.rpm == "on"
     attack_tag = "RPM" if use_rpm else "COPY"
 
-    manifest_path = Path(args.manifest)
-    entries = audio_io.read_manifest(manifest_path)
-    out_dir = Path(args.out)
-    _echo_config(cfg, out_dir)
-    bonafide = [e for e in entries if e.key == "bonafide"]
-    for entry in entries:
-        if entry.key != "bonafide":
-            log.warning("%s: spoof entry skipped; augmentation uses bonafide input only",
-                        entry.utt_id)
-    if not bonafide:
-        log.warning("manifest %s has no bonafide entries; nothing to do", manifest_path)
-        return EXIT_OK
+    def bonafide(entries: list[ManifestEntry]) -> list[ManifestEntry]:
+        for entry in entries:
+            if entry.key != "bonafide":
+                log.warning("%s: spoof entry skipped; augmentation uses bonafide input only",
+                            entry.utt_id)
+        return [e for e in entries if e.key == "bonafide"]
 
-    def worker(entry: audio_io.ManifestEntry) -> audio_io.ManifestEntry:
-        buf = audio_io.read_wav(_resolve_path(entry.path, manifest_path))
+    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> ManifestEntry:
         result = copy_synthesize(
-            buf,
-            cfg.features,
-            rpm_cfg if use_rpm else None,
-            cfg.griffin_lim,
-            entry.utt_id,
+            buf, cfg.features, cfg.rpm if use_rpm else None, cfg.griffin_lim, entry.utt_id
         )
         wav_name = f"{entry.utt_id}.synth.wav"
         audio_io.write_wav(out_dir / wav_name, result.audio, cfg.encoding)
         if result.plan is not None:
-            write_plan(out_dir / f"{entry.utt_id}.plan.json", result.plan, entry.utt_id, rpm_cfg.seed)
+            plan_path = out_dir / f"{entry.utt_id}.plan.json"
+            write_plan(plan_path, result.plan, entry.utt_id, cfg.rpm.seed)
         if args.save_features:
             audio_io.write_features(out_dir / f"{entry.utt_id}.rfb", result.features)
-        return audio_io.ManifestEntry(
-            utt_id=entry.utt_id, path=wav_name, key="spoof", attack=attack_tag
-        )
+        return ManifestEntry(utt_id=entry.utt_id, path=wav_name, key="spoof", attack=attack_tag)
 
-    results, failures = _run_batch(bonafide, worker, args.jobs)
-    audio_io.write_manifest(out_dir / "manifest.tsv", [r for r in results if r is not None])
-    log.info("augment(%s): %d/%d files ok", attack_tag, len(bonafide) - failures, len(bonafide))
-    return EXIT_PARTIAL if failures else EXIT_OK
+    def write_spoof_manifest(results: list[ManifestEntry], out_dir: Path) -> str:
+        audio_io.write_manifest(out_dir / "manifest.tsv", results)
+        return ""
+
+    return _run_manifest(
+        args, cfg, f"augment({attack_tag})", worker, bonafide, write_spoof_manifest
+    )
 
 
 def cmd_speedperturb(args: argparse.Namespace) -> int:
@@ -344,6 +303,13 @@ def _int_at_least(lowest: int) -> Callable[[str], int]:
     return integer
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 < value < math.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits 2
         self.print_usage(sys.stderr)
@@ -356,30 +322,28 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
     common.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker count")
     common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("manifest")
 
     parser = _Parser(prog="rhythmkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("glottal", parents=[common], help="extract glottal flow per manifest entry")
-    p.add_argument("manifest")
     p.set_defaults(func=cmd_glottal)
 
     p = sub.add_parser("features", parents=[common], help="extract mel+F0 feature files")
-    p.add_argument("manifest")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("augment", parents=[common], help="copy-synthesize bonafide entries")
-    p.add_argument("manifest")
     p.add_argument("--rpm", choices=("on", "off"), default="on")
-    p.add_argument("--factor-lo", type=float, default=None)
-    p.add_argument("--factor-hi", type=float, default=None)
+    p.add_argument("--factor-lo", type=_positive_float, default=None)
+    p.add_argument("--factor-hi", type=_positive_float, default=None)
     p.add_argument("--save-features", action="store_true")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("speedperturb", help="waveform-domain time scaling of one file")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--factor", type=float, required=True)
+    p.add_argument("--factor", type=_positive_float, required=True)
     p.set_defaults(func=cmd_speedperturb)
 
     p = sub.add_parser("eer", help="pooled and per-attack EER report from a score TSV")

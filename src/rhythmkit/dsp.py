@@ -31,6 +31,9 @@ OLA_ENVELOPE_FLOOR = 1e-8
 
 WINDOW_KINDS = ("hann", "hamming", "rect")
 
+# Largest magnitude of every synthesized or extracted output waveform.
+OUTPUT_PEAK = 0.95
+
 
 @dataclass(frozen=True)
 class FrameSpec:
@@ -79,11 +82,6 @@ class LpcModel:
             raise ValueError("LPC coefficients must be finite")
         if not (np.isfinite(self.gain) and self.gain >= 0):
             raise ValueError(f"gain must be finite and nonnegative, got {self.gain}")
-
-    @classmethod
-    def identity(cls, order: int = 0) -> "LpcModel":
-        """A(z) = 1 with zero predictor coefficients (whitening no-op)."""
-        return cls(order=order, coeffs=np.zeros(order), gain=0.0)
 
 
 @dataclass(frozen=True)
@@ -295,6 +293,12 @@ def leaky_integrate(x: np.ndarray, d: float) -> np.ndarray:
         raise ValueError(f"leak coefficient must lie in (0, 1], got {d}")
     x = np.asarray(x, dtype=np.float64)
     return lfilter([1.0], [1.0, -d], x, axis=-1)
+
+
+def peak_normalize(x: np.ndarray) -> np.ndarray:
+    """Scale x so its largest magnitude is OUTPUT_PEAK; all-zero input is returned as is."""
+    peak = np.max(np.abs(x))
+    return x * (OUTPUT_PEAK / peak) if peak > 0.0 else x
 
 
 def resampled_length(length: int, factor: float) -> int:

@@ -62,4 +62,4 @@ class InsufficientClassesError(RhythmkitError):
 
 
 class UnknownAttackError(RhythmkitError):
-    """Attack label missing from the TTS/VC mapping in strict mode."""
+    """Attack label missing from the TTS/VC mapping."""

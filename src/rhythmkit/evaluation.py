@@ -14,12 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DuplicateIdError,
-    InsufficientClassesError,
-    ParseError,
-    UnknownAttackError,
-)
+from .audio_io import read_tsv
+from .errors import InsufficientClassesError, ParseError, UnknownAttackError
 
 # ASVspoof 2019 LA evaluation protocol: A07-A16 synthesize from text,
 # A17-A19 convert voices.
@@ -27,8 +23,6 @@ DEFAULT_ATTACK_GROUPS: dict[str, str] = {
     **{f"A{i:02d}": "TTS" for i in range(7, 17)},
     **{f"A{i:02d}": "VC" for i in range(17, 20)},
 }
-
-BONAFIDE_ATTACK = "-"
 
 
 @dataclass(frozen=True)
@@ -82,24 +76,10 @@ class EerBreakdown:
 
 def read_scores(path: str | Path) -> ScoreSet:
     """Parse a score TSV: utt_id, key, attack, score; one trial per line."""
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such score file: {path}")
     records: list[ScoreRecord] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-        utt_id, key, attack, score_text = fields
-        if utt_id in seen:
-            raise DuplicateIdError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
-        seen.add(utt_id)
+    for lineno, (utt_id, key, attack, score_text) in read_tsv(path, 4, "score file"):
         try:
-            score = float(score_text)
-            records.append(ScoreRecord(utt_id=utt_id, key=key, attack=attack, score=score))
+            records.append(ScoreRecord(utt_id, key, attack, float(score_text)))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return ScoreSet(records=tuple(records))
@@ -136,24 +116,18 @@ def compute_eer(scores: ScoreSet) -> EerResult:
     return eer_from_scores(scores.bonafide_scores(), scores.spoof_scores())
 
 
-def eer_breakdown(
-    scores: ScoreSet,
-    attack_groups: dict[str, str] | None = None,
-    strict: bool = True,
-) -> EerBreakdown:
+def eer_breakdown(scores: ScoreSet, attack_groups: dict[str, str] | None = None) -> EerBreakdown:
     """Pooled total, per-group (TTS/VC) and per-attack EER.
 
     Every pool reuses all bonafide trials against the selected spoof trials.
-    Unmapped attack labels raise in strict mode and form their own
-    per-attack row either way.
+    An attack label missing from the mapping raises UnknownAttackError.
     """
     groups = DEFAULT_ATTACK_GROUPS if attack_groups is None else attack_groups
     bona = scores.bonafide_scores()
     attacks = scores.attacks()
-    if strict:
-        unknown = [a for a in attacks if a not in groups]
-        if unknown:
-            raise UnknownAttackError(f"attacks with no TTS/VC mapping: {unknown}")
+    unknown = [a for a in attacks if a not in groups]
+    if unknown:
+        raise UnknownAttackError(f"attacks with no TTS/VC mapping: {unknown}")
     per_attack = {a: eer_from_scores(bona, scores.spoof_scores({a})) for a in attacks}
     result: dict[str, EerResult | None] = {}
     for group in ("TTS", "VC"):
@@ -170,15 +144,11 @@ def eer_breakdown(
 
 def load_attack_groups(path: str | Path) -> dict[str, str]:
     """Read an attack -> {TTS, VC} mapping file (TSV, one pair per line)."""
-    path = Path(path)
     groups: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or fields[1] not in ("TTS", "VC"):
+    for lineno, (attack, group) in read_tsv(path, 2, "mapping file"):
+        if group not in ("TTS", "VC"):
             raise ParseError(f"{path}:{lineno}: expected '<attack>\\tTTS|VC'")
-        groups[fields[0]] = fields[1]
+        groups[attack] = group
     return groups
 
 

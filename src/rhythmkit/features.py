@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsp
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, FeatureBundle
 from .errors import TooManyMelsError
 
 MEL_LOG_FLOOR = 1e-10
@@ -43,6 +43,8 @@ class FeatureConfig:
             )
         if self.n_mels < 1:
             raise ValueError(f"n_mels must be positive, got {self.n_mels}")
+        if self.fmin < 0.0:
+            raise ValueError(f"fmin must be nonnegative, got {self.fmin}")
         if not 0.0 < self.f0_min < self.f0_max:
             raise ValueError(f"need 0 < f0_min < f0_max, got [{self.f0_min}, {self.f0_max}]")
         if not 0.0 < self.voicing_threshold < 1.0:
@@ -54,46 +56,6 @@ class FeatureConfig:
         if not self.fmin < fmax <= nyquist:
             raise ValueError(f"need fmin < fmax <= Nyquist, got [{self.fmin}, {fmax}] at fs={sample_rate}")
         return fmax
-
-
-@dataclass(frozen=True)
-class FeatureBundle:
-    """Time-aligned log-mel frames and F0 track plus the framing metadata."""
-
-    mel: np.ndarray  # (n_frames, n_mels), natural log of floored mel power
-    f0: np.ndarray  # (n_frames,), Hz; 0.0 = unvoiced
-    sample_rate: float
-    hop_length: int
-    win_length: int
-
-    def __post_init__(self) -> None:
-        mel = np.asarray(self.mel, dtype=np.float64)
-        f0 = np.asarray(self.f0, dtype=np.float64)
-        if mel.ndim != 2:
-            raise ValueError(f"mel must be 2-D, got shape {mel.shape}")
-        if f0.shape != (mel.shape[0],):
-            raise ValueError(f"mel has {mel.shape[0]} frames but f0 has shape {f0.shape}")
-        object.__setattr__(self, "mel", mel)
-        object.__setattr__(self, "f0", f0)
-
-    @property
-    def n_frames(self) -> int:
-        return self.mel.shape[0]
-
-    @property
-    def n_mels(self) -> int:
-        return self.mel.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureBundle):
-            return NotImplemented
-        return (
-            np.array_equal(self.mel, other.mel)
-            and np.array_equal(self.f0, other.f0)
-            and self.sample_rate == other.sample_rate
-            and self.hop_length == other.hop_length
-            and self.win_length == other.win_length
-        )
 
 
 def stft_magnitude(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:

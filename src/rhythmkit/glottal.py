@@ -21,8 +21,6 @@ from .errors import TooShortError, UnstableFrameError
 
 log = logging.getLogger(__name__)
 
-OUTPUT_PEAK = 0.95
-
 # Frames per IAIF block: bounds the per-stage frame stacks, so peak memory does
 # not grow with utterance length beyond the output itself.
 IAIF_BLOCK_FRAMES = 256
@@ -204,11 +202,8 @@ def extract_glottal_flow(audio: AudioBuffer, cfg: IaifConfig | None = None) -> G
     if unstable:
         log.warning("unstable LPC in %d of %d frames; passed them through raw", unstable, n)
     flow /= envelope
-    peak = np.max(np.abs(flow))
-    if peak > 0.0:
-        flow = flow * (OUTPUT_PEAK / peak)
     return GlottalFlowResult(
-        flow=AudioBuffer(samples=flow, sample_rate=audio.sample_rate),
+        flow=AudioBuffer(samples=dsp.peak_normalize(flow), sample_rate=audio.sample_rate),
         unstable_frames=unstable,
         total_frames=n,
     )

@@ -17,11 +17,9 @@ import numpy as np
 from . import dsp
 from .audio_io import AudioBuffer
 from .errors import PlanMismatchError
-from .features import FeatureBundle
+from .features import FeatureBundle, FeatureConfig
 
 _MASK64 = (1 << 64) - 1
-
-DEFAULT_F0_FLOOR = 50.0
 
 
 class SplitMix64:
@@ -150,7 +148,7 @@ def sample_segment_plan(total_frames: int, cfg: RpmConfig, rng: SplitMix64) -> S
 
 
 def apply_plan(
-    bundle: FeatureBundle, plan: SegmentPlan, f0_floor: float = DEFAULT_F0_FLOOR
+    bundle: FeatureBundle, plan: SegmentPlan, f0_floor: float = FeatureConfig.f0_min
 ) -> FeatureBundle:
     """Resample each segment's mel block and F0 slice by the segment's factor.
 
@@ -187,7 +185,7 @@ def rhythm_perturb(
     bundle: FeatureBundle,
     cfg: RpmConfig,
     utt_id: str,
-    f0_floor: float = DEFAULT_F0_FLOOR,
+    f0_floor: float = FeatureConfig.f0_min,
 ) -> tuple[FeatureBundle, SegmentPlan]:
     """Sample a segment plan keyed on (seed, utt_id) and apply it.
 

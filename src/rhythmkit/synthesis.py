@@ -16,8 +16,6 @@ from .errors import ShapeMismatchError
 from .features import FeatureBundle, FeatureConfig, extract_features, mel_filterbank
 from .rpm import RpmConfig, SegmentPlan, rhythm_perturb
 
-OUTPUT_PEAK = 0.95
-
 # Tikhonov weight for the mel pseudo-inverse, scaled by the mean diagonal
 # energy of filterbank @ filterbank.T.
 MEL_INV_LAMBDA = 1e-5
@@ -34,6 +32,8 @@ class GriffinLimConfig:
             raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
         if self.init_phase not in ("zeros", "random"):
             raise ValueError(f"init_phase must be 'zeros' or 'random', got {self.init_phase!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,8 @@ def griffin_lim(
         # Keep measured phase, impose target magnitude; guard zero bins.
         unit = np.where(mags > 0.0, spectra / np.maximum(mags, 1e-300), 1.0)
         x = istft(target * unit)
-    peak = np.max(np.abs(x))
-    if peak > 0.0:
-        x = x * (OUTPUT_PEAK / peak)
-    return GriffinLimResult(
-        audio=AudioBuffer(samples=x, sample_rate=sample_rate), objective=objective
-    )
+    audio = AudioBuffer(samples=dsp.peak_normalize(x), sample_rate=sample_rate)
+    return GriffinLimResult(audio=audio, objective=objective)
 
 
 def copy_synthesize(

@@ -182,6 +182,22 @@ class TestManifest:
         with pytest.raises(ParseError):
             audio_io.read_manifest(path)
 
+    def test_tsv_reader_contract(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\t1\n\n  \nb\t2\n")
+        assert list(audio_io.read_tsv(path, 2, "table")) == [(1, ["a", "1"]), (4, ["b", "2"])]
+        with pytest.raises(FileNotFoundError, match="no such table"):
+            list(audio_io.read_tsv(tmp_path / "missing.tsv", 2, "table"))
+        path.write_bytes(b"a\t1\nb\t\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            list(audio_io.read_tsv(path, 2, "table"))
+        path.write_text("a\t1\nb\t2\tx\n")
+        with pytest.raises(ParseError, match=":2: expected 2"):
+            list(audio_io.read_tsv(path, 2, "table"))
+        path.write_text("a\t1\n\na\t2\n")
+        with pytest.raises(DuplicateIdError, match=":3"):
+            list(audio_io.read_tsv(path, 2, "table"))
+
     def test_round_trip(self, tmp_path):
         entries = [
             ManifestEntry("u1", "a.wav", "bonafide", "-"),

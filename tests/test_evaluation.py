@@ -171,9 +171,6 @@ class TestBreakdown:
         scores = make_set([1.0], [0.0], attack="B99")
         with pytest.raises(UnknownAttackError):
             eer_breakdown(scores)
-        down = eer_breakdown(scores, strict=False)
-        assert "B99" in down.per_attack
-        assert down.tts is None and down.vc is None
 
     def test_mapping_file(self, tmp_path):
         path = tmp_path / "map.tsv"
@@ -184,6 +181,12 @@ class TestBreakdown:
         assert down.tts is not None and down.vc is None
         path.write_text("B99\tother\n")
         with pytest.raises(ParseError):
+            load_attack_groups(path)
+
+    def test_mapping_file_duplicate_attack(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text("B99\tTTS\nB99\tVC\n")
+        with pytest.raises(DuplicateIdError, match=":2"):
             load_attack_groups(path)
 
 
