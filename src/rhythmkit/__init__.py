@@ -15,7 +15,6 @@ from .dsp import FrameSpec, LpcModel
 from .evaluation import (
     EerBreakdown,
     EerResult,
-    ScoreRecord,
     ScoreSet,
     compute_eer,
     eer_breakdown,
@@ -57,7 +56,6 @@ __all__ = [
     "LpcModel",
     "ManifestEntry",
     "RpmConfig",
-    "ScoreRecord",
     "ScoreSet",
     "Segment",
     "SegmentPlan",

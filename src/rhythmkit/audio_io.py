@@ -22,8 +22,12 @@ from .errors import (
     VersionMismatchError,
 )
 
-_WAVE_FORMAT_PCM = 1
-_WAVE_FORMAT_IEEE_FLOAT = 3
+# Sample encodings: name -> (fmt chunk format code, bits per sample, stored
+# dtype, full scale), where full scale is the stored value of a 1.0 sample.
+WAV_ENCODINGS: dict[str, tuple[int, int, str, float]] = {
+    "pcm16": (1, 16, "<i2", 32768.0),
+    "float32": (3, 32, "<f4", 1.0),
+}
 
 FEATURE_MAGIC = b"RFB1"
 FEATURE_VERSION = 1
@@ -137,16 +141,14 @@ def _read_chunks(raw: bytes, path: Path) -> dict[str, bytes]:
     return chunks
 
 
-def read_wav(path: str | Path) -> AudioBuffer:
-    """Decode a mono PCM16 or float32 WAV file into an AudioBuffer.
+def read_wav_encoded(path: str | Path) -> tuple[AudioBuffer, str]:
+    """Decode a mono WAV file and name its encoding, a key of WAV_ENCODINGS.
 
-    PCM16 values are scaled by 1/32768, so -32768 maps to -1.0 exactly.
-    """
+    Samples are divided by the full scale, so PCM16 -32768 maps to -1.0."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such audio file: {path}")
-    raw = path.read_bytes()
-    chunks = _read_chunks(raw, path)
+    chunks = _read_chunks(path.read_bytes(), path)
     if "fmt " not in chunks or "data" not in chunks:
         raise UnsupportedFormatError(f"{path}: missing fmt/data chunk")
     fmt = chunks["fmt "]
@@ -155,58 +157,35 @@ def read_wav(path: str | Path) -> AudioBuffer:
     audio_format, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if channels != 1:
         raise UnsupportedFormatError(f"{path}: channels={channels}")
-    if audio_format == _WAVE_FORMAT_PCM:
-        if bits != 16:
-            raise UnsupportedFormatError(f"{path}: bits={bits}")
-        dtype = "<i2"
-    elif audio_format == _WAVE_FORMAT_IEEE_FLOAT:
-        if bits != 32:
-            raise UnsupportedFormatError(f"{path}: bits={bits}")
-        dtype = "<f4"
-    else:
-        raise UnsupportedFormatError(f"{path}: format={audio_format}")
+    names = [name for name, enc in WAV_ENCODINGS.items() if enc[:2] == (audio_format, bits)]
+    if not names:
+        raise UnsupportedFormatError(f"{path}: unsupported format={audio_format} bits={bits}")
+    _, _, dtype, full_scale = WAV_ENCODINGS[names[0]]
     data = chunks["data"]
-    width = np.dtype(dtype).itemsize
-    n = len(data) // width
+    n = len(data) // (bits // 8)
     if n == 0:
         raise EmptyAudioError(f"{path}: data chunk holds no samples")
-    values = np.frombuffer(data[: n * width], dtype=dtype)
-    if audio_format == _WAVE_FORMAT_PCM:
-        samples = values.astype(np.float64) / 32768.0
-    else:
-        samples = values.astype(np.float64)
-    return AudioBuffer(samples=samples, sample_rate=sample_rate)
+    samples = np.frombuffer(data, dtype=dtype, count=n).astype(np.float64) / full_scale
+    return AudioBuffer(samples=samples, sample_rate=sample_rate), names[0]
 
 
-def wav_encoding(path: str | Path) -> str:
-    """Report a readable file's sample encoding: 'pcm16' or 'float32'."""
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such audio file: {path}")
-    chunks = _read_chunks(path.read_bytes(), path)
-    if "fmt " not in chunks or len(chunks["fmt "]) < 16:
-        raise UnsupportedFormatError(f"{path}: missing or short fmt chunk")
-    (audio_format,) = struct.unpack_from("<H", chunks["fmt "], 0)
-    if audio_format == _WAVE_FORMAT_PCM:
-        return "pcm16"
-    if audio_format == _WAVE_FORMAT_IEEE_FLOAT:
-        return "float32"
-    raise UnsupportedFormatError(f"{path}: format={audio_format}")
+def read_wav(path: str | Path) -> AudioBuffer:
+    """Decode a mono WAV file in one of the WAV_ENCODINGS into an AudioBuffer."""
+    return read_wav_encoded(path)[0]
 
 
 def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> None:
     """Write an AudioBuffer as mono WAV; samples clamped to [-1, 1] for pcm16."""
     if len(buf) == 0:
         raise EmptyAudioError("refusing to write a buffer with no samples")
-    if encoding == "pcm16":
-        scaled = np.rint(np.clip(buf.samples, -1.0, 1.0) * 32768.0)
-        payload = np.clip(scaled, -32768, 32767).astype("<i2").tobytes()
-        audio_format, bits = _WAVE_FORMAT_PCM, 16
-    elif encoding == "float32":
-        payload = buf.samples.astype("<f4").tobytes()
-        audio_format, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
-    else:
-        raise ValueError(f"encoding must be 'pcm16' or 'float32', got {encoding!r}")
+    if encoding not in WAV_ENCODINGS:
+        raise ValueError(f"encoding must be one of {sorted(WAV_ENCODINGS)}, got {encoding!r}")
+    audio_format, bits, dtype, full_scale = WAV_ENCODINGS[encoding]
+    values = buf.samples
+    if np.dtype(dtype).kind == "i":
+        info = np.iinfo(dtype)
+        values = np.clip(np.rint(np.clip(values, -1.0, 1.0) * full_scale), info.min, info.max)
+    payload = values.astype(dtype).tobytes()
     block_align = bits // 8
     byte_rate = buf.sample_rate * block_align
     fmt = struct.pack(
@@ -214,7 +193,7 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
     )
     body = b"WAVE"
     body += b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    if audio_format == _WAVE_FORMAT_IEEE_FLOAT:
+    if np.dtype(dtype).kind == "f":  # non-PCM formats carry a sample count
         body += b"fact" + struct.pack("<II", 4, len(buf))
     body += b"data" + struct.pack("<I", len(payload)) + payload
     if len(payload) & 1:

@@ -18,7 +18,7 @@ from types import NoneType, UnionType
 from typing import Any, Callable, get_args, get_type_hints
 
 from . import audio_io, evaluation
-from .audio_io import AudioBuffer, ManifestEntry
+from .audio_io import WAV_ENCODINGS, AudioBuffer, ManifestEntry
 from .errors import RhythmkitError
 from .features import FeatureConfig, extract_features
 from .glottal import IaifConfig, extract_glottal_flow
@@ -53,8 +53,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.encoding not in ("pcm16", "float32"):
-            raise ValueError(f"audio.encoding must be pcm16 or float32, got {self.encoding!r}")
+        if self.encoding not in WAV_ENCODINGS:
+            raise ValueError(f"audio.encoding {self.encoding!r} not in {list(WAV_ENCODINGS)}")
 
 
 def _to_doc(obj: Any, top: bool, skip: tuple[str, ...] = ()) -> dict:
@@ -155,7 +155,8 @@ def _run_batch(
     worker: Callable[[ManifestEntry], Any],
     jobs: int,
 ) -> tuple[list[Any], int]:
-    """Apply worker to each entry, per-file errors logged and counted, never fatal.
+    """Apply worker to each entry; any Exception fails only its own entry and
+    is logged with its type name, while KeyboardInterrupt aborts the batch.
 
     Results come back in manifest order regardless of jobs; a failed entry
     leaves None in its slot."""
@@ -164,8 +165,8 @@ def _run_batch(
     def guarded(i: int) -> None:
         try:
             results[i] = worker(entries[i])
-        except (RhythmkitError, OSError, ValueError) as exc:
-            log.error("%s: %s", entries[i].utt_id, exc)
+        except Exception as exc:
+            log.error("%s: %s: %s", entries[i].utt_id, type(exc).__name__, exc)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -273,8 +274,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def cmd_speedperturb(args: argparse.Namespace) -> int:
-    buf = audio_io.read_wav(args.input)
-    encoding = audio_io.wav_encoding(args.input)
+    buf, encoding = audio_io.read_wav_encoded(args.input)
     out = speed_perturb(buf, args.factor)
     Path(args.output).parent.mkdir(parents=True, exist_ok=True)
     audio_io.write_wav(args.output, out, encoding)

@@ -9,12 +9,13 @@ linearly interpolated crossing of those two step functions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import read_tsv
+from .audio_io import MANIFEST_KEYS, read_tsv
 from .errors import InsufficientClassesError, ParseError, UnknownAttackError
 
 # ASVspoof 2019 LA evaluation protocol: A07-A16 synthesize from text,
@@ -25,39 +26,36 @@ DEFAULT_ATTACK_GROUPS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    utt_id: str
-    key: str
-    attack: str
-    score: float
+@dataclass(frozen=True, eq=False)  # a generated == would compare arrays
+class ScoreSet:
+    """Trials as three equal-length columns: finite float64 scores, a bool
+    bonafide mask and the attack label (str) of each trial. Labels are held
+    as objects, so one long label does not widen a fixed-width str column."""
+
+    scores: np.ndarray
+    bonafide: np.ndarray
+    attack: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.key not in ("bonafide", "spoof"):
-            raise ValueError(f"key must be bonafide or spoof, got {self.key!r}")
-        if not np.isfinite(self.score):
-            raise ValueError(f"score must be finite, got {self.score}")
-
-
-@dataclass(frozen=True)
-class ScoreSet:
-    records: tuple[ScoreRecord, ...]
+        for name, dtype in (("scores", np.float64), ("bonafide", bool), ("attack", object)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        shape = self.scores.shape
+        if len(shape) != 1 or self.bonafide.shape != shape or self.attack.shape != shape:
+            raise ValueError("scores, bonafide and attack must be equal-length 1-D arrays")
+        if not np.all(np.isfinite(self.scores)):
+            raise ValueError("scores must be finite")
 
     def bonafide_scores(self) -> np.ndarray:
-        return np.array([r.score for r in self.records if r.key == "bonafide"])
+        return self.scores[self.bonafide]
 
     def spoof_scores(self, attacks: set[str] | None = None) -> np.ndarray:
-        return np.array(
-            [
-                r.score
-                for r in self.records
-                if r.key == "spoof" and (attacks is None or r.attack in attacks)
-            ]
-        )
+        spoof = ~self.bonafide
+        if attacks is not None:
+            spoof &= np.isin(self.attack, sorted(attacks))
+        return self.scores[spoof]
 
     def attacks(self) -> list[str]:
-        seen = {r.attack for r in self.records if r.key == "spoof"}
-        return sorted(seen)
+        return sorted(set(self.attack[~self.bonafide]))
 
 
 @dataclass(frozen=True)
@@ -76,13 +74,22 @@ class EerBreakdown:
 
 def read_scores(path: str | Path) -> ScoreSet:
     """Parse a score TSV: utt_id, key, attack, score; one trial per line."""
-    records: list[ScoreRecord] = []
-    for lineno, (utt_id, key, attack, score_text) in read_tsv(path, 4, "score file"):
+    scores: list[float] = []
+    bonafide: list[bool] = []
+    attack: list[str] = []
+    for lineno, (_, key, label, score_text) in read_tsv(path, 4, "score file"):
         try:
-            records.append(ScoreRecord(utt_id, key, attack, float(score_text)))
+            score = float(score_text)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return ScoreSet(records=tuple(records))
+        if key not in MANIFEST_KEYS:
+            raise ParseError(f"{path}:{lineno}: key must be one of {MANIFEST_KEYS}, got {key!r}")
+        if not math.isfinite(score):
+            raise ParseError(f"{path}:{lineno}: score must be finite, got {score_text!r}")
+        scores.append(score)
+        bonafide.append(key == "bonafide")
+        attack.append(label)
+    return ScoreSet(scores, bonafide, attack)
 
 
 def eer_from_scores(bonafide: np.ndarray, spoof: np.ndarray) -> EerResult:

@@ -45,6 +45,8 @@ class FeatureConfig:
             raise ValueError(f"n_mels must be positive, got {self.n_mels}")
         if self.fmin < 0.0:
             raise ValueError(f"fmin must be nonnegative, got {self.fmin}")
+        if self.fmax is not None and self.fmax <= self.fmin:  # Nyquist is checked per file
+            raise ValueError(f"fmax must exceed fmin, got [{self.fmin}, {self.fmax}]")
         if not 0.0 < self.f0_min < self.f0_max:
             raise ValueError(f"need 0 < f0_min < f0_max, got [{self.f0_min}, {self.f0_max}]")
         if not 0.0 < self.voicing_threshold < 1.0:

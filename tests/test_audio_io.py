@@ -119,8 +119,8 @@ class TestWriteWav:
         buf = AudioBuffer(samples=np.zeros(8), sample_rate=8000)
         audio_io.write_wav(tmp_path / "a.wav", buf, "pcm16")
         audio_io.write_wav(tmp_path / "b.wav", buf, "float32")
-        assert audio_io.wav_encoding(tmp_path / "a.wav") == "pcm16"
-        assert audio_io.wav_encoding(tmp_path / "b.wav") == "float32"
+        assert audio_io.read_wav_encoded(tmp_path / "a.wav")[1] == "pcm16"
+        assert audio_io.read_wav_encoded(tmp_path / "b.wav")[1] == "float32"
 
 
 class TestAudioBuffer:

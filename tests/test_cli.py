@@ -66,6 +66,56 @@ class TestGlottalCommand:
         assert main(["glottal", str(manifest), "--out", str(tmp_path / "o")]) == 0
 
 
+class TestBatchErrors:
+    """Any Exception from one file's worker fails only that file; an interrupt aborts."""
+
+    @staticmethod
+    def _five_files(corpus, monkeypatch, name, exc):
+        """Five-entry manifest whose second file makes cli.<name> raise exc."""
+        manifest = corpus.parent / "five.tsv"
+        manifest.write_text(corpus.read_text() + "utt3\tutt2.wav\tbonafide\t-\n")
+        bad = audio_io.read_wav(corpus.parent / "utt1.wav").samples
+        original = getattr(cli, name)
+
+        def flaky(buf, *args):
+            if np.array_equal(buf.samples, bad):
+                raise exc
+            return original(buf, *args)
+
+        monkeypatch.setattr(cli, name, flaky)
+        return manifest
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unexpected_error_fails_one_file(self, corpus, tmp_path, monkeypatch, caplog, jobs):
+        manifest = self._five_files(
+            corpus, monkeypatch, "extract_glottal_flow", FloatingPointError("overflow")
+        )
+        out = tmp_path / "out"
+        assert main(["glottal", str(manifest), "--out", str(out), "--jobs", jobs]) == 2
+        assert sorted(p.name for p in out.glob("*.glottal.wav")) == [
+            "sp0.glottal.wav", "utt0.glottal.wav", "utt2.glottal.wav", "utt3.glottal.wav",
+        ]
+        assert any("utt1: FloatingPointError: overflow" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_augment_writes_manifest_of_survivors(self, corpus, tmp_path, monkeypatch, jobs):
+        manifest = self._five_files(corpus, monkeypatch, "copy_synthesize", ZeroDivisionError())
+        out = tmp_path / "out"
+        argv = ["augment", str(manifest), "--out", str(out), "--jobs", jobs,
+                "--config", str(_fast_config(tmp_path))]
+        assert main(argv) == 2
+        entries = audio_io.read_manifest(out / "manifest.tsv")
+        assert [e.utt_id for e in entries] == ["utt0", "utt2", "utt3"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_keyboard_interrupt_aborts(self, corpus, tmp_path, monkeypatch, jobs):
+        manifest = self._five_files(
+            corpus, monkeypatch, "extract_glottal_flow", KeyboardInterrupt()
+        )
+        with pytest.raises(KeyboardInterrupt):
+            main(["glottal", str(manifest), "--out", str(tmp_path / "out"), "--jobs", jobs])
+
+
 class TestFeaturesCommand:
     def test_outputs_round_trip(self, corpus, tmp_path):
         out = tmp_path / "feat"
@@ -144,6 +194,13 @@ class TestSpeedPerturbCommand:
         dst = tmp_path / "utt0.speed.wav"
         assert main(["speedperturb", str(src), str(dst), "--factor", "1.0"]) == 0
         assert dst.read_bytes()[44:] == src.read_bytes()[44:]  # same sample payload
+
+    def test_identity_factor_float32_byte_identical(self, tmp_path):
+        src = tmp_path / "f.wav"
+        audio_io.write_wav(src, am_harmonic_signal(seed=3), "float32")
+        dst = tmp_path / "f.speed.wav"
+        assert main(["speedperturb", str(src), str(dst), "--factor", "1.0"]) == 0
+        assert dst.read_bytes() == src.read_bytes()
 
     def test_duration_scales(self, corpus, tmp_path):
         src = corpus.parent / "utt0.wav"
@@ -308,6 +365,8 @@ class TestConfig:
         {"iaif": {"win_ms": float("nan")}},
         {"iaif": {"highpass_cutoff": float("inf")}},
         {"features": {"fmin": -100.0}},
+        {"features": {"fmin": 8000.0, "fmax": 7000.0}},
+        {"features": {"fmax": 0.0}},
     ])
     def test_bad_values_rejected_at_load(self, doc):
         with pytest.raises(ConfigError):
@@ -325,6 +384,7 @@ class TestConfig:
     "manifest-not-utf8", "config-not-utf8", "scores-not-utf8", "mapping-duplicate",
     "factor-0", "factor-nan", "factor-inf", "factor-lo-0", "factor-lo-nan-hi-nan",
     "factor-lo-above-hi", "factor-hi-below-config-lo", "config-wrong-type",
+    "fmax-below-fmin", "fmax-zero",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     out = tmp_path / "out"
@@ -338,6 +398,10 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     narrow.write_text('{"rpm": {"factor_lo": 0.9}}')
     typed = tmp_path / "typed.json"
     typed.write_text('{"griffin_lim": {"n_iters": 2.5}}')
+    fmax_below = tmp_path / "fmax_below.json"
+    fmax_below.write_text('{"features": {"fmin": 8000.0, "fmax": 7000.0}}')
+    fmax_zero = tmp_path / "fmax_zero.json"
+    fmax_zero.write_text('{"features": {"fmax": 0.0}}')
     wav = str(corpus.parent / "utt0.wav")
     augment = ["augment", str(corpus), "--out", str(out)]
     argv = {
@@ -353,6 +417,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "factor-lo-above-hi": augment + ["--factor-lo", "1.3", "--factor-hi", "1.1"],
         "factor-hi-below-config-lo": augment + ["--factor-hi", "0.8", "--config", str(narrow)],
         "config-wrong-type": ["features", str(corpus), "--out", str(out), "--config", str(typed)],
+        "fmax-below-fmin": ["features", str(corpus), "--out", str(out), "--config", str(fmax_below)],
+        "fmax-zero": ["features", str(corpus), "--out", str(out), "--config", str(fmax_zero)],
     }[case]
     assert main(argv) == 1
     assert not out.exists()

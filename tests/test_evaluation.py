@@ -12,7 +12,6 @@ from rhythmkit.errors import (
 )
 from rhythmkit.evaluation import (
     DEFAULT_ATTACK_GROUPS,
-    ScoreRecord,
     ScoreSet,
     compute_eer,
     eer_breakdown,
@@ -50,9 +49,11 @@ def eer_oracle(bona, spoof):
 
 
 def make_set(bona, spoof, attack="A07"):
-    records = [ScoreRecord(f"b{i}", "bonafide", "-", s) for i, s in enumerate(bona)]
-    records += [ScoreRecord(f"s{i}", "spoof", attack, s) for i, s in enumerate(spoof)]
-    return ScoreSet(records=tuple(records))
+    return ScoreSet(
+        scores=list(bona) + list(spoof),
+        bonafide=[True] * len(bona) + [False] * len(spoof),
+        attack=["-"] * len(bona) + [attack] * len(spoof),
+    )
 
 
 class TestReadScores:
@@ -62,13 +63,22 @@ class TestReadScores:
             "u1\tbonafide\t-\t2.5\nu2\tbonafide\t-\t1.5\nu3\tspoof\tA07\t-0.5\nu4\tspoof\tA17\t0.25\n"
         )
         scores = read_scores(path)
-        assert len(scores.records) == 4
-        assert scores.records[2].score == -0.5
+        assert len(scores.scores) == 4
+        assert scores.scores[2] == -0.5
 
     def test_non_numeric_score(self, tmp_path):
         path = tmp_path / "s.tsv"
         path.write_text("u1\tbonafide\t-\tabc\n")
         with pytest.raises(ParseError, match=":1"):
+            read_scores(path)
+
+    @pytest.mark.parametrize("key, score", [
+        ("spooof", "0.5"), ("spoof", "nan"), ("spoof", "inf"), ("spoof", "-inf"),
+    ])
+    def test_bad_key_or_non_finite_score_names_line(self, tmp_path, key, score):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"u1\tbonafide\t-\t1.0\nu2\t{key}\tA07\t{score}\n")
+        with pytest.raises(ParseError, match=r"s\.tsv:2: "):
             read_scores(path)
 
     def test_duplicate_id(self, tmp_path):
@@ -81,9 +91,37 @@ class TestReadScores:
         path = tmp_path / "s.tsv"
         path.write_text("u1\tspoof\tA07\t0.5\nu2\tspoof\tA07\t0.1\n")
         scores = read_scores(path)
-        assert len(scores.records) == 2
+        assert len(scores.scores) == 2
         with pytest.raises(InsufficientClassesError):
             compute_eer(scores)
+
+
+class TestScoreSet:
+    @pytest.mark.parametrize("columns", [
+        ([1.0, 2.0], [True], ["-", "A07"]),
+        ([[1.0]], [[True]], [["-"]]),
+        ([1.0, np.inf], [True, False], ["-", "A07"]),
+        ([np.nan], [False], ["A07"]),
+    ])
+    def test_constructor_checks_columns(self, columns):
+        with pytest.raises(ValueError):
+            ScoreSet(*columns)
+
+    def test_selections_and_equality(self):
+        scores = ScoreSet(
+            [0.5, 1.0, 2.0, 3.0], [False, True, False, False], ["A17", "-", "A07", "A17"]
+        )
+        assert scores.bonafide_scores().tolist() == [1.0]
+        assert scores.spoof_scores().tolist() == [0.5, 2.0, 3.0]
+        assert scores.spoof_scores({"A17"}).tolist() == [0.5, 3.0]
+        assert scores.attacks() == ["A07", "A17"]
+        assert scores == scores and scores != make_set([1.0], [0.0])  # no elementwise ==
+
+    def test_long_label_does_not_widen_attack_column(self):
+        labels = ["-"] * 1000 + ["A" * 10_000]
+        scores = ScoreSet(np.zeros(1001), [True] * 1000 + [False], labels)
+        assert scores.attacks() == ["A" * 10_000]
+        assert scores.attack.nbytes <= 8 * 1001  # one reference per trial
 
 
 class TestComputeEer:
@@ -155,13 +193,42 @@ class TestBreakdown:
         assert down.vc is None
 
     def test_two_attack_composition(self):
-        records = [ScoreRecord(f"b{i}", "bonafide", "-", s) for i, s in enumerate([1.0, 2.0])]
-        records += [ScoreRecord("s1", "spoof", "A07", -1.0)]  # separable
-        records += [ScoreRecord("s2", "spoof", "A17", 5.0)]  # inverted
-        down = eer_breakdown(ScoreSet(records=tuple(records)))
+        scores = ScoreSet(
+            scores=[1.0, 2.0, -1.0, 5.0],  # A07 separable, A17 inverted
+            bonafide=[True, True, False, False],
+            attack=["-", "-", "A07", "A17"],
+        )
+        down = eer_breakdown(scores)
         assert down.per_attack["A07"].eer == 0.0
         assert down.per_attack["A17"].eer == 1.0
         assert 0.0 < down.total.eer < 1.0
+
+    def test_matches_plain_loop_over_rows(self, tmp_path):
+        rng = np.random.default_rng(11)
+        attacks = ["A07", "A10", "A16", "A17", "A19"]  # three TTS, two VC
+        rows = [("bonafide", "-", float(rng.normal(1.0, 1.0))) for _ in range(120)]
+        rows += [("spoof", a, float(rng.normal(0.2 * k, 1.0))) for k, a in enumerate(attacks)
+                 for _ in range(40)]
+        lines = [f"t{i}\t{key}\t{attack}\t{score!r}\n" for i, (key, attack, score) in enumerate(rows)]
+        path = tmp_path / "s.tsv"
+        path.write_text("".join(lines[i] for i in rng.permutation(len(lines))))
+
+        bona, pools = [], {}
+        for line in path.read_text().splitlines():
+            _, key, attack, score = line.split("\t")
+            if key == "bonafide":
+                bona.append(float(score))
+            else:
+                pools.setdefault(attack, []).append(float(score))
+        down = eer_breakdown(read_scores(path))
+
+        assert sorted(down.per_attack) == sorted(pools) == attacks
+        for attack, spoof in pools.items():
+            assert down.per_attack[attack] == eer_from_scores(bona, spoof)
+        for group, result in (("TTS", down.tts), ("VC", down.vc)):
+            spoof = [s for a in attacks if DEFAULT_ATTACK_GROUPS[a] == group for s in pools[a]]
+            assert result == eer_from_scores(bona, spoof)
+        assert down.total == eer_from_scores(bona, [s for a in attacks for s in pools[a]])
 
     def test_default_mapping_classifies_a10_as_tts(self):
         assert DEFAULT_ATTACK_GROUPS["A10"] == "TTS"
