@@ -155,8 +155,8 @@ def read_wav_encoded(path: str | Path) -> tuple[AudioBuffer, str]:
     if len(fmt) < 16:
         raise UnsupportedFormatError(f"{path}: fmt chunk too short")
     audio_format, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
-    if channels != 1:
-        raise UnsupportedFormatError(f"{path}: channels={channels}")
+    if channels != 1 or sample_rate == 0:
+        raise UnsupportedFormatError(f"{path}: channels={channels} sample_rate={sample_rate}")
     names = [name for name, enc in WAV_ENCODINGS.items() if enc[:2] == (audio_format, bits)]
     if not names:
         raise UnsupportedFormatError(f"{path}: unsupported format={audio_format} bits={bits}")

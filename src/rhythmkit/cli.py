@@ -155,25 +155,22 @@ def _run_batch(
     worker: Callable[[ManifestEntry], Any],
     jobs: int,
 ) -> tuple[list[Any], int]:
-    """Apply worker to each entry; any Exception fails only its own entry and
-    is logged with its type name, while KeyboardInterrupt aborts the batch.
+    """Apply worker to each entry on a pool of jobs threads; any Exception
+    fails only its own entry and is logged with its type name.
 
-    Results come back in manifest order regardless of jobs; a failed entry
-    leaves None in its slot."""
-    results: list[Any] = [None] * len(entries)
+    On KeyboardInterrupt the files in flight finish, the rest never start and
+    the interrupt propagates.  Results come back in manifest order; a failed
+    entry leaves None in its slot."""
 
-    def guarded(i: int) -> None:
+    def guarded(entry: ManifestEntry) -> Any:
         try:
-            results[i] = worker(entries[i])
+            return worker(entry)
         except Exception as exc:
-            log.error("%s: %s: %s", entries[i].utt_id, type(exc).__name__, exc)
+            log.error("%s: %s: %s", entry.utt_id, type(exc).__name__, exc)
+            return None
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(guarded, range(len(entries))))
-    else:
-        for i in range(len(entries)):
-            guarded(i)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(guarded, entries))
     return results, sum(r is None for r in results)
 
 

@@ -29,7 +29,12 @@ AUTOCORR_REG = 1e-6
 # the tapered edges.
 OLA_ENVELOPE_FLOOR = 1e-8
 
-WINDOW_KINDS = ("hann", "hamming", "rect")
+# Periodic (DFT-even) cosine windows a - b*cos(2*pi*n/N): name -> (a, b).
+WINDOW_KINDS: dict[str, tuple[float, float]] = {
+    "hann": (0.5, 0.5),
+    "hamming": (0.54, 0.46),
+    "rect": (1.0, 0.0),
+}
 
 # Largest magnitude of every synthesized or extracted output waveform.
 OUTPUT_PEAK = 0.95
@@ -51,10 +56,12 @@ class FrameSpec:
                 f"need 0 < hop_length <= win_length, got hop={self.hop_length} win={self.win_length}"
             )
         if self.window not in WINDOW_KINDS:
-            raise ValueError(f"unknown window {self.window!r}, expected one of {WINDOW_KINDS}")
+            raise ValueError(f"unknown window {self.window!r}, expected one of {list(WINDOW_KINDS)}")
 
     def window_array(self) -> np.ndarray:
-        return make_window(self.window, self.win_length)
+        """The analysis window, win_length samples of WINDOW_KINDS[window]."""
+        a, b = WINDOW_KINDS[self.window]
+        return a - b * np.cos(2.0 * np.pi * np.arange(self.win_length) / self.win_length)
 
 
 @dataclass(frozen=True)
@@ -108,20 +115,6 @@ class LpcRows:
         )
 
 
-def make_window(kind: str, length: int) -> np.ndarray:
-    """Periodic (DFT-even) analysis window of the given length."""
-    if length <= 0:
-        raise ValueError(f"window length must be positive, got {length}")
-    n = np.arange(length)
-    if kind == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
-    if kind == "hamming":
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / length)
-    if kind == "rect":
-        return np.ones(length)
-    raise ValueError(f"unknown window {kind!r}, expected one of {WINDOW_KINDS}")
-
-
 def num_frames(length: int, spec: FrameSpec) -> int:
     if length < spec.win_length:
         raise TooShortError(
@@ -142,6 +135,11 @@ def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
     if spec.window != "rect":
         frames = frames * spec.window_array()[None, :]
     return frames
+
+
+def stft(x: np.ndarray, spec: FrameSpec, n_fft: int) -> np.ndarray:
+    """Complex spectra of frame_signal's frames, shape (n_frames, n_fft//2 + 1)."""
+    return np.fft.rfft(frame_signal(x, spec), n=n_fft, axis=1)
 
 
 def ola_accumulate(out: np.ndarray, frames: np.ndarray, hop: int, first_frame: int = 0) -> None:

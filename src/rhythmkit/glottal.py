@@ -51,7 +51,7 @@ class IaifConfig:
         if self.highpass_cutoff < 0:
             raise ValueError(f"highpass_cutoff must be nonnegative, got {self.highpass_cutoff}")
         if self.window not in dsp.WINDOW_KINDS:
-            raise ValueError(f"unknown window {self.window!r}, expected one of {dsp.WINDOW_KINDS}")
+            raise ValueError(f"unknown window {self.window!r}, expected one of {list(dsp.WINDOW_KINDS)}")
 
     def tract_order(self, sample_rate: int) -> int:
         p = self.vocal_tract_order

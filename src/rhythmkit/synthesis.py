@@ -71,10 +71,6 @@ def mel_to_linear(mel: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
     return np.sqrt(power).T
 
 
-def _stft(x: np.ndarray, spec: dsp.FrameSpec, n_fft: int) -> np.ndarray:
-    return np.fft.rfft(dsp.frame_signal(x, spec), n=n_fft, axis=1)
-
-
 def _spectral_distance(mags: np.ndarray, target: np.ndarray) -> float:
     """Frobenius distance between magnitude spectrograms, with interior rfft
     bins double-weighted so the norm equals the full-spectrum one (the norm
@@ -125,7 +121,7 @@ def griffin_lim(
     x = istft(target * phase)
     objective = np.empty(cfg.n_iters + 1)
     for it in range(cfg.n_iters + 1):
-        spectra = _stft(x, spec, n_fft)
+        spectra = dsp.stft(x, spec, n_fft)
         mags = np.abs(spectra)
         objective[it] = _spectral_distance(mags, target)
         if it == cfg.n_iters:

@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rhythmkit import audio_io
 from rhythmkit.audio_io import AudioBuffer, ManifestEntry
@@ -79,6 +82,13 @@ class TestReadWav:
         with pytest.raises(EmptyAudioError):
             audio_io.read_wav(path)
 
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        path.write_bytes(_raw_wav(1, 1, 0, 16, b"\x00" * 8))
+        with pytest.raises(UnsupportedFormatError, match="sample_rate=0") as info:
+            audio_io.read_wav_encoded(path)
+        assert str(path) in str(info.value)
+
 
 class TestWriteWav:
     def test_float32_round_trip_bit_exact(self, tmp_path):
@@ -109,6 +119,15 @@ class TestWriteWav:
         assert stored[1] == -32768
         assert stored[2] == 32767
         assert stored[3] == -32768
+
+    def test_every_pcm16_code_round_trips(self, tmp_path):
+        codes = np.arange(-32768, 32768)
+        buf = AudioBuffer(samples=codes / 32768.0, sample_rate=16000)
+        path = tmp_path / "codes.wav"
+        audio_io.write_wav(path, buf, "pcm16")
+        assert np.array_equal(np.frombuffer(path.read_bytes()[-2 * len(codes):], "<i2"), codes)
+        back = audio_io.read_wav(path)
+        assert np.array_equal(back.samples, buf.samples)
 
     def test_empty_buffer_rejected(self, tmp_path):
         buf = AudioBuffer(samples=np.zeros(0), sample_rate=16000)
@@ -216,7 +235,51 @@ def _random_bundle(rng, n_frames=23, n_mels=12):
     )
 
 
+# Doubles whose bit patterns a lossy codec would change: signed zero,
+# subnormals and values near the top of the exponent range.
+EDGE_DOUBLES = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e300, -1e300]
+
+
+@st.composite
+def feature_bundles(draw):
+    """Any shape from one frame and one band up, values mixing EDGE_DOUBLES into finite doubles."""
+    n_frames = draw(st.integers(1, 6))
+    n_mels = draw(st.integers(1, 6))
+    values = st.one_of(
+        st.sampled_from(EDGE_DOUBLES), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    return FeatureBundle(
+        mel=draw(arrays(np.float64, (n_frames, n_mels), elements=values)),
+        f0=draw(arrays(np.float64, n_frames, elements=values)),
+        sample_rate=draw(st.floats(allow_nan=False)),
+        hop_length=draw(st.integers(0, 2**32 - 1)),
+        win_length=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
 class TestFeatureFile:
+    @settings(max_examples=60, deadline=None)
+    @given(feature_bundles())
+    @example(FeatureBundle(
+        mel=np.array([EDGE_DOUBLES]), f0=np.array([-0.0]), sample_rate=16000.0,
+        hop_length=256, win_length=1024,
+    ))
+    @example(FeatureBundle(
+        mel=np.array(EDGE_DOUBLES)[:, None], f0=np.array(EDGE_DOUBLES), sample_rate=16000.0,
+        hop_length=256, win_length=1024,
+    ))
+    def test_codec_returns_the_same_bytes(self, tmp_path_factory, bundle):
+        path = tmp_path_factory.mktemp("rfb") / "x.rfb"
+        audio_io.write_features(path, bundle)
+        raw = path.read_bytes()
+        back = audio_io.read_features(path)
+        assert back.mel.tobytes() == bundle.mel.tobytes()
+        assert back.f0.tobytes() == bundle.f0.tobytes()
+        assert np.float64(back.sample_rate).tobytes() == np.float64(bundle.sample_rate).tobytes()
+        assert (back.hop_length, back.win_length) == (bundle.hop_length, bundle.win_length)
+        audio_io.write_features(path, back)
+        assert path.read_bytes() == raw
+
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(3)
         bundle = _random_bundle(rng)

@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
 import json
+import signal
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from conftest import am_harmonic_signal, two_formant_voice
 from rhythmkit import audio_io, cli
 from rhythmkit.cli import RunConfig, build_run_config, config_as_dict, main, ConfigError
+from test_audio_io import _raw_wav
 from test_evaluation import eer_oracle
 
 NON_DEFAULT_CONFIG = {
@@ -115,6 +119,40 @@ class TestBatchErrors:
         with pytest.raises(KeyboardInterrupt):
             main(["glottal", str(manifest), "--out", str(tmp_path / "out"), "--jobs", jobs])
 
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_ctrl_c_finishes_files_in_flight(self, corpus, tmp_path, monkeypatch, jobs):
+        manifest = corpus.parent / "five.tsv"
+        manifest.write_text(corpus.read_text() + "utt3\tutt2.wav\tbonafide\t-\n")
+        real = audio_io.write_wav
+        lock = threading.Lock()
+        written = []
+
+        def interrupting(path, *args):
+            with lock:
+                written.append(Path(path))
+                second = len(written) == 2
+            if second:  # Ctrl-C while this file is being written
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                time.sleep(0.2)
+            real(path, *args)
+
+        monkeypatch.setattr(audio_io, "write_wav", interrupting)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        out = tmp_path / "out"
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                main(["glottal", str(manifest), "--out", str(out), "--jobs", jobs])
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        present = sorted(out.glob("*.glottal.wav"))
+        assert written[1] in present
+        for path in present:
+            audio_io.read_wav(path)
+        assert len(present) < 5
+        if jobs == "1":
+            assert len(present) == 2
+
 
 class TestFeaturesCommand:
     def test_outputs_round_trip(self, corpus, tmp_path):
@@ -201,6 +239,14 @@ class TestSpeedPerturbCommand:
         dst = tmp_path / "f.speed.wav"
         assert main(["speedperturb", str(src), str(dst), "--factor", "1.0"]) == 0
         assert dst.read_bytes() == src.read_bytes()
+
+    def test_zero_sample_rate_exits_1_and_writes_nothing(self, tmp_path, caplog):
+        src = tmp_path / "rate0.wav"
+        src.write_bytes(_raw_wav(1, 1, 0, 16, b"\x00" * 8))
+        out = tmp_path / "out"
+        assert main(["speedperturb", str(src), str(out / "x.wav"), "--factor", "1.1"]) == 1
+        assert not out.exists()
+        assert any("sample_rate=0" in rec.message for rec in caplog.records)
 
     def test_duration_scales(self, corpus, tmp_path):
         src = corpus.parent / "utt0.wav"

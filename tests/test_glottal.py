@@ -7,7 +7,7 @@ import pytest
 from conftest import FS, two_formant_voice
 from rhythmkit import dsp
 from rhythmkit.audio_io import AudioBuffer
-from rhythmkit.errors import TooShortError
+from rhythmkit.errors import TooShortError, UnstableFrameError
 from rhythmkit.glottal import IaifConfig, extract_glottal_flow, highpass, iaif_frame
 
 
@@ -79,6 +79,29 @@ class TestIaifFrame:
         assert np.all(np.abs(res.vocal_tract.reflections) < 1.0)
         assert res.vocal_tract.order == cfg.tract_order(FS)
         assert res.glottal_source_model.order == cfg.glottal_order
+
+
+    @pytest.mark.parametrize("stage", [0, 1, 2, 3])
+    def test_unstable_stage_raises(self, monkeypatch, stage):
+        # Flag the frame unstable at one of the four LPC stages through the
+        # batched Levinson's mask, as the utterance-level test below does.
+        voice, _ = two_formant_voice()
+        cfg = IaifConfig()
+        frame = voice.samples[4000 : 4000 + cfg.frame_spec(FS).win_length]
+        real = dsp.levinson_rows
+        calls = []
+
+        def flaky(r, order):
+            rows = real(r, order)
+            calls.append(order)
+            if len(calls) - 1 != stage:
+                return rows
+            return replace(rows, coeffs=0.0 * rows.coeffs, unstable=np.ones(len(r), dtype=bool))
+
+        monkeypatch.setattr(dsp, "levinson_rows", flaky)
+        with pytest.raises(UnstableFrameError):
+            iaif_frame(frame, cfg, FS)
+        assert len(calls) == 4
 
 
 class TestExtractGlottalFlow:

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FS, sine
 from rhythmkit.errors import PlanMismatchError
@@ -112,6 +114,40 @@ class TestSamplePlan:
             RpmConfig(seg_min=20, seg_max=19)
         with pytest.raises(ValueError):
             RpmConfig(factor_lo=0.0)
+
+
+@st.composite
+def rpm_configs(draw):
+    """Any valid RpmConfig: segment bounds from 1 up, factors down to where a
+    segment resamples to a single frame."""
+    seg_min = draw(st.integers(1, 40))
+    seg_max = seg_min + draw(st.integers(0, 20))
+    factor_lo = draw(st.floats(1e-3, 4.0))
+    factor_hi = factor_lo + draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    return RpmConfig(seg_min=seg_min, seg_max=seg_max, factor_lo=factor_lo,
+                     factor_hi=factor_hi, seed=draw(st.integers(0, 2**64 - 1)))
+
+
+class TestPlanProperties:
+    """Tiling and the length law for random configs; the default config is
+    covered by TestSamplePlan and TestApplyPlan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rpm_configs(), st.integers(1, 400))
+    @example(RpmConfig(seg_min=7, seg_max=7), 50)
+    @example(RpmConfig(seg_min=1, seg_max=1), 9)
+    @example(RpmConfig(seg_min=1, seg_max=3, factor_lo=0.8, factor_hi=0.8), 40)
+    @example(RpmConfig(seg_min=2, seg_max=5, factor_lo=0.01, factor_hi=0.01), 30)
+    def test_tiling_and_length_law(self, cfg, total):
+        plan = sample_segment_plan(total, cfg, SplitMix64(cfg.seed))
+        assert plan.tiles(total)
+        for seg in plan.segments[:-1]:
+            assert cfg.seg_min <= seg.length <= cfg.seg_max
+        assert 1 <= plan.segments[-1].length <= cfg.seg_max
+        assert all(cfg.factor_lo <= s.factor <= cfg.factor_hi for s in plan.segments)
+        out = apply_plan(make_bundle(total, n_mels=3, seed=cfg.seed), plan)
+        expect = sum(max(1, int(np.floor(s.length * s.factor + 0.5))) for s in plan.segments)
+        assert out.n_frames == expect == plan.output_frames()
 
 
 class TestApplyPlan:
