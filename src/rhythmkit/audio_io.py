@@ -6,7 +6,9 @@ Samples are held as float64 internally regardless of file encoding.
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -123,6 +125,30 @@ class ManifestEntry:
             )
 
 
+def write_file(path: str | Path, data: bytes | str) -> None:
+    """Commit data (a str as UTF-8) to path: every output file goes through here.
+
+    The bytes go to a temp file in the target's directory, which is then
+    renamed over the target, so a run killed midway leaves the old file or the
+    new one, never a torn one, and a symlink at path is replaced, not followed.
+    On any failure, KeyboardInterrupt included, the temp file is removed.
+    There is no fsync: this guards against interrupted runs, not power loss."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    # A fixed-length name, so a target name at the file-name limit still works.
+    tmp = path.parent / f".rhythmkit-{uuid.uuid4().hex}.tmp"
+    # Mode 0o666 & ~umask, as a plain open() gives; tempfile.mkstemp would give 0o600.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _read_chunks(raw: bytes, path: Path) -> dict[str, bytes]:
     if len(raw) < 12:
         raise UnsupportedFormatError(f"{path}: too small to be a RIFF file")
@@ -198,7 +224,7 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
     body += b"data" + struct.pack("<I", len(payload)) + payload
     if len(payload) & 1:
         body += b"\x00"
-    Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    write_file(path, b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 def read_tsv(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
@@ -241,7 +267,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
 def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
     lines = [f"{e.utt_id}\t{e.path}\t{e.key}\t{e.attack}" for e in entries]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_file(path, "".join(line + "\n" for line in lines))
 
 
 def write_features(path: str | Path, bundle: FeatureBundle) -> None:
@@ -258,7 +284,7 @@ def write_features(path: str | Path, bundle: FeatureBundle) -> None:
         bundle.hop_length,
         bundle.win_length,
     )
-    Path(path).write_bytes(header + mel.tobytes() + f0.tobytes())
+    write_file(path, header + mel.tobytes() + f0.tobytes())
 
 
 def read_features(path: str | Path) -> FeatureBundle:

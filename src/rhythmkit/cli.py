@@ -190,8 +190,8 @@ def _run_manifest(
     out_dir = Path(args.out)
     # Written before any output file so every run directory is self-describing.
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.effective.json").write_text(
-        json.dumps(config_as_dict(cfg), indent=2) + "\n", encoding="utf-8"
+    audio_io.write_file(
+        out_dir / "config.effective.json", json.dumps(config_as_dict(cfg), indent=2) + "\n"
     )
     selected = select(entries)
     if not selected:

@@ -37,6 +37,9 @@ class FeatureConfig:
     voicing_threshold: float = 0.3
 
     def __post_init__(self) -> None:
+        # Griffin-Lim recovers n_fft from the rfft bin count, which only an even n_fft gives back.
+        if self.n_fft % 2:
+            raise ValueError(f"n_fft must be even, got {self.n_fft}")
         if self.frame.win_length > self.n_fft:
             raise ValueError(
                 f"win_length {self.frame.win_length} exceeds n_fft {self.n_fft}"

@@ -62,6 +62,11 @@ class IaifConfig:
     def frame_spec(self, sample_rate: int) -> dsp.FrameSpec:
         win = int(round(self.win_ms * sample_rate / 1000.0))
         hop = int(round(self.hop_ms * sample_rate / 1000.0))
+        for key, ms, n in (("win_ms", self.win_ms, win), ("hop_ms", self.hop_ms, hop)):
+            if n < 1:
+                raise ValueError(
+                    f"iaif.{key} = {ms} rounds to 0 samples at sample rate {sample_rate} Hz"
+                )
         spec = dsp.FrameSpec(win, hop, self.window)
         p = self.tract_order(sample_rate)
         if not 0 < self.glottal_order < p < win:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp
+from . import audio_io, dsp
 from .audio_io import AudioBuffer
 from .errors import PlanMismatchError
 from .features import FeatureBundle, FeatureConfig
@@ -210,4 +210,4 @@ def speed_perturb(audio: AudioBuffer, factor: float) -> AudioBuffer:
 
 
 def write_plan(path: str | Path, plan: SegmentPlan, utt_id: str, seed: int) -> None:
-    Path(path).write_text(plan.to_json(utt_id, seed) + "\n", encoding="utf-8")
+    audio_io.write_file(path, plan.to_json(utt_id, seed) + "\n")

@@ -1,3 +1,6 @@
+import io
+import os
+import stat
 import struct
 
 import numpy as np
@@ -140,6 +143,72 @@ class TestWriteWav:
         audio_io.write_wav(tmp_path / "b.wav", buf, "float32")
         assert audio_io.read_wav_encoded(tmp_path / "a.wav")[1] == "pcm16"
         assert audio_io.read_wav_encoded(tmp_path / "b.wav")[1] == "float32"
+
+
+def _failing(monkeypatch, stage, exc):
+    """Make write_file's write (after half the bytes) or its rename raise exc."""
+    if stage == "write":
+
+        class Torn(io.FileIO):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise exc
+
+        monkeypatch.setattr(audio_io, "open", lambda fd, mode: Torn(fd, "w"), raising=False)
+    else:
+
+        def replace(src, dst):
+            raise exc
+
+        monkeypatch.setattr(audio_io.os, "replace", replace)
+
+
+class TestWriteFile:
+    @pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()])
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failure_leaves_old_file_and_no_temp(self, tmp_path, monkeypatch, stage, exc):
+        old = tmp_path / "old.wav"
+        old.write_bytes(b"old bytes")
+        _failing(monkeypatch, stage, exc)
+        for target in (old, tmp_path / "new.wav"):
+            with pytest.raises(type(exc)):
+                audio_io.write_file(target, b"new bytes" * 100)
+        assert old.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.wav"]
+
+    def test_symlink_at_target_is_replaced_not_followed(self, tmp_path):
+        outside = tmp_path / "outside.wav"
+        outside.write_bytes(b"keep")
+        out = tmp_path / "out"
+        out.mkdir()
+        link = out / "u1.glottal.wav"
+        link.symlink_to(outside)
+        audio_io.write_wav(link, AudioBuffer(samples=np.zeros(8), sample_rate=8000))
+        assert outside.read_bytes() == b"keep"
+        assert not link.is_symlink() and link.is_file()
+        assert len(audio_io.read_wav(link)) == 8
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            audio_io.write_file(tmp_path / "m.json", "{}\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "m.json").stat().st_mode) == 0o666 & ~umask
+
+    def test_name_at_the_file_name_limit(self, tmp_path):
+        path = tmp_path / ("u" * 251 + ".rfb")
+        assert len(path.name.encode()) == 255
+        audio_io.write_file(path, b"x")
+        assert path.read_bytes() == b"x"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_text_is_utf8_and_overwrites(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a much longer earlier content")
+        audio_io.write_file(path, "é\n")
+        assert path.read_bytes() == "é\n".encode("utf-8")
 
 
 class TestAudioBuffer:

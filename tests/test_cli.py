@@ -70,6 +70,45 @@ class TestGlottalCommand:
         assert main(["glottal", str(manifest), "--out", str(tmp_path / "o")]) == 0
 
 
+class TestOutputFiles:
+    """Every file under --out is committed by audio_io.write_file."""
+
+    @pytest.mark.parametrize("argv", [["glottal"], ["augment", "--save-features"]])
+    def test_every_output_comes_through_write_file(self, corpus, tmp_path, monkeypatch, argv):
+        committed = []
+        real = audio_io.write_file
+
+        def recording(path, data):
+            real(path, data)
+            committed.append(Path(path))
+
+        monkeypatch.setattr(audio_io, "write_file", recording)
+        out = tmp_path / "out"
+        rest = ["--jobs", "2", "--config", str(_fast_config(tmp_path))]
+        assert main([argv[0], str(corpus), "--out", str(out), *argv[1:], *rest]) == 0
+        assert len(committed) == len(set(committed))
+        assert set(committed) == set(out.iterdir())
+
+    def test_symlink_in_out_is_replaced_not_followed(self, corpus, tmp_path):
+        outside = tmp_path / "outside.wav"
+        outside.write_bytes(b"keep")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "utt0.glottal.wav").symlink_to(outside)
+        assert main(["glottal", str(corpus), "--out", str(out)]) == 0
+        assert outside.read_bytes() == b"keep"
+        assert not (out / "utt0.glottal.wav").is_symlink()
+        audio_io.read_wav(out / "utt0.glottal.wav")
+
+    def test_rate_too_low_for_iaif_names_the_rate(self, tmp_path, caplog):
+        (tmp_path / "slow.wav").write_bytes(_raw_wav(1, 1, 8, 16, b"\x01\x00" * 64))
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("slow\tslow.wav\tbonafide\t-\n")
+        assert main(["glottal", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert any("slow: ValueError: iaif.win_ms" in rec.message and "8 Hz" in rec.message
+                   for rec in caplog.records)
+
+
 class TestBatchErrors:
     """Any Exception from one file's worker fails only that file; an interrupt aborts."""
 
@@ -413,6 +452,7 @@ class TestConfig:
         {"features": {"fmin": -100.0}},
         {"features": {"fmin": 8000.0, "fmax": 7000.0}},
         {"features": {"fmax": 0.0}},
+        {"features": {"n_fft": 1023, "win_length": 1023}},
     ])
     def test_bad_values_rejected_at_load(self, doc):
         with pytest.raises(ConfigError):
@@ -430,7 +470,7 @@ class TestConfig:
     "manifest-not-utf8", "config-not-utf8", "scores-not-utf8", "mapping-duplicate",
     "factor-0", "factor-nan", "factor-inf", "factor-lo-0", "factor-lo-nan-hi-nan",
     "factor-lo-above-hi", "factor-hi-below-config-lo", "config-wrong-type",
-    "fmax-below-fmin", "fmax-zero",
+    "fmax-below-fmin", "fmax-zero", "n-fft-odd",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     out = tmp_path / "out"
@@ -448,6 +488,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     fmax_below.write_text('{"features": {"fmin": 8000.0, "fmax": 7000.0}}')
     fmax_zero = tmp_path / "fmax_zero.json"
     fmax_zero.write_text('{"features": {"fmax": 0.0}}')
+    odd_fft = tmp_path / "odd_fft.json"
+    odd_fft.write_text('{"features": {"n_fft": 1023, "win_length": 1023}}')
     wav = str(corpus.parent / "utt0.wav")
     augment = ["augment", str(corpus), "--out", str(out)]
     argv = {
@@ -465,6 +507,7 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "config-wrong-type": ["features", str(corpus), "--out", str(out), "--config", str(typed)],
         "fmax-below-fmin": ["features", str(corpus), "--out", str(out), "--config", str(fmax_below)],
         "fmax-zero": ["features", str(corpus), "--out", str(out), "--config", str(fmax_zero)],
+        "n-fft-odd": augment + ["--config", str(odd_fft)],
     }[case]
     assert main(argv) == 1
     assert not out.exists()

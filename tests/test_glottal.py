@@ -229,6 +229,11 @@ class TestExtractGlottalFlow:
         with pytest.raises(ValueError):
             IaifConfig(window="bogus")
 
+    @pytest.mark.parametrize("rate, key", [(8, "iaif.win_ms"), (100, "iaif.hop_ms")])
+    def test_rate_too_low_names_rate_and_key(self, rate, key):
+        with pytest.raises(ValueError, match=rf"{key} = .* at sample rate {rate} Hz"):
+            IaifConfig().frame_spec(rate)
+
     def test_default_orders_follow_rate(self):
         assert IaifConfig().tract_order(16000) == 18
         assert IaifConfig().tract_order(8000) == 10
