@@ -238,6 +238,11 @@ def cmd_augment(args: argparse.Namespace) -> int:
     cfg = load_run_config(
         args.config, args.seed, {"factor_lo": args.factor_lo, "factor_hi": args.factor_hi}
     )
+    spoof_manifest = Path(args.out) / "manifest.tsv"
+    if spoof_manifest.exists() and spoof_manifest.samefile(args.manifest):
+        log.error("augment: the spoof manifest %s would replace the input manifest %s; "
+                  "choose another --out", spoof_manifest, args.manifest)
+        return EXIT_USAGE
     use_rpm = args.rpm == "on"
     attack_tag = "RPM" if use_rpm else "COPY"
 
@@ -262,7 +267,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         return ManifestEntry(utt_id=entry.utt_id, path=wav_name, key="spoof", attack=attack_tag)
 
     def write_spoof_manifest(results: list[ManifestEntry], out_dir: Path) -> str:
-        audio_io.write_manifest(out_dir / "manifest.tsv", results)
+        audio_io.write_manifest(spoof_manifest, results)
         return ""
 
     return _run_manifest(

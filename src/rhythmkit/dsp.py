@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
 
 from .errors import (
     InconsistentFrameLengthError,
@@ -276,13 +275,27 @@ def inverse_filter(x: np.ndarray, model: LpcModel) -> np.ndarray:
     return inverse_filter_rows(x[None, :], model.coeffs[None, :])[0]
 
 
+def iir_filter(
+    b: np.ndarray | list[float], a: np.ndarray | list[float], x: np.ndarray
+) -> np.ndarray:
+    """Direct-form IIR filter b(z)/a(z) along the last axis, zero initial state.
+
+    The package's one use of scipy: scipy.signal is imported here, on first
+    call, because loading it costs about a second that commands which never
+    filter (features, augment, eer, speedperturb) should not pay.
+    """
+    from scipy.signal import lfilter
+
+    return lfilter(b, a, x, axis=-1)
+
+
 def allpole_filter(e: np.ndarray, model: LpcModel) -> np.ndarray:
     """Synthesis counterpart: y[n] = e[n] - sum_k a[k] y[n-k], zero initial state."""
     e = np.asarray(e, dtype=np.float64)
     if model.order == 0:
         return e.copy()
     a = np.concatenate(([1.0], model.coeffs))
-    return lfilter([1.0], a, e)
+    return iir_filter([1.0], a, e)
 
 
 def leaky_integrate(x: np.ndarray, d: float) -> np.ndarray:
@@ -290,7 +303,7 @@ def leaky_integrate(x: np.ndarray, d: float) -> np.ndarray:
     if not 0.0 < d <= 1.0:
         raise ValueError(f"leak coefficient must lie in (0, 1], got {d}")
     x = np.asarray(x, dtype=np.float64)
-    return lfilter([1.0], [1.0, -d], x, axis=-1)
+    return iir_filter([1.0], [1.0, -d], x)
 
 
 def peak_normalize(x: np.ndarray) -> np.ndarray:

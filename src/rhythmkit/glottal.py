@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import dsp
 from .audio_io import AudioBuffer
@@ -108,7 +107,7 @@ def highpass(x: np.ndarray, sample_rate: int, cutoff: float) -> np.ndarray:
         c = np.cos(w0)
         b = np.array([(1.0 + c) / 2.0, -(1.0 + c), (1.0 + c) / 2.0])
         a = np.array([1.0 + alpha, -2.0 * c, 1.0 - alpha])
-        y = lfilter(b / a[0], a / a[0], y)
+        y = dsp.iir_filter(b / a[0], a / a[0], y)
     return y
 
 

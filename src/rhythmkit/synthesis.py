@@ -126,9 +126,12 @@ def griffin_lim(
         objective[it] = _spectral_distance(mags, target)
         if it == cfg.n_iters:
             break
-        # Keep measured phase, impose target magnitude; guard zero bins.
-        unit = np.where(mags > 0.0, spectra / np.maximum(mags, 1e-300), 1.0)
-        x = istft(target * unit)
+        # Keep measured phase, impose target magnitude: a real rescale in
+        # place; zero bins have no phase and take the target as is.
+        spectra *= target / np.maximum(mags, 1e-300)
+        zero = mags == 0.0
+        spectra[zero] = target[zero]
+        x = istft(spectra)
     audio = AudioBuffer(samples=dsp.peak_normalize(x), sample_rate=sample_rate)
     return GriffinLimResult(audio=audio, objective=objective)
 

@@ -1,7 +1,10 @@
 import importlib
 import importlib.util
 import json
+import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -219,6 +222,18 @@ class TestAugmentCommand:
         entries = audio_io.read_manifest(out / "manifest.tsv")
         assert [e.attack for e in entries] == ["COPY"] * 3
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_out_over_input_manifest_exits_1_and_writes_nothing(
+        self, corpus, spelling, caplog
+    ):
+        root = corpus.parent
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        out = root if spelling == "same" else root / ".." / root.name / "."
+        assert main(["augment", str(corpus), "--out", str(out)]) == 1
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+        message = " ".join(rec.getMessage() for rec in caplog.records)
+        assert str(corpus) in message and str(out / "manifest.tsv") in message
+
     def test_spoof_entries_skipped(self, corpus, tmp_path, caplog):
         out = tmp_path / "aug"
         main(["augment", str(corpus), "--out", str(out), "--config", str(_fast_config(tmp_path))])
@@ -328,6 +343,56 @@ class TestEerCommand:
         path = tmp_path / "bad.tsv"
         path.write_text("u1\tspoof\tA07\t0.5\n")
         assert main(["eer", str(path)]) == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCIPY_PROBE = """
+import json, sys
+from rhythmkit import cli
+loaded = ["scipy.signal" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded.append("scipy.signal" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _fresh_python(args, timeout=120):
+    """Run a new interpreter that imports rhythmkit from this checkout's src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout, check=True)
+
+
+class TestScipyLoadsOnlyToFilter:
+    """scipy.signal takes about a second to import; only glottal filters."""
+
+    def test_only_glottal_loads_scipy_signal(self, corpus, tmp_path):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("b0\tbonafide\t-\t1.0\ns0\tspoof\tA07\t0.0\n")
+        cfg = str(_fast_config(tmp_path))
+        commands = [
+            ["eer", str(scores), "--json"],
+            ["features", str(corpus), "--out", str(tmp_path / "f")],
+            ["augment", str(corpus), "--out", str(tmp_path / "a"), "--config", cfg],
+            ["speedperturb", str(corpus.parent / "utt0.wav"), str(tmp_path / "s.wav"),
+             "--factor", "1.1"],
+            ["glottal", str(corpus), "--out", str(tmp_path / "g")],
+        ]
+        out = _fresh_python(["-c", SCIPY_PROBE, json.dumps(commands)]).stdout
+        assert json.loads(out.splitlines()[-1]) == [False] * 5 + [True]
+
+    def test_first_import_in_two_pool_threads(self, corpus, tmp_path):
+        outs = {}
+        for jobs in ("1", "2"):
+            outs[jobs] = tmp_path / f"jobs{jobs}"
+            _fresh_python(["-m", "rhythmkit.cli", "glottal", str(corpus),
+                           "--out", str(outs[jobs]), "--jobs", jobs])
+        names = sorted(p.name for p in outs["1"].glob("*.glottal.wav"))
+        assert len(names) == 4
+        for name in names:
+            assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes(), name
 
 
 def _fast_config(tmp_path):
