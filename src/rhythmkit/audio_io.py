@@ -30,9 +30,11 @@ WAV_ENCODINGS: dict[str, tuple[int, int, str, float]] = {
     "pcm16": (1, 16, "<i2", 32768.0),
     "float32": (3, 32, "<f4", 1.0),
 }
+WAV_FMT = struct.Struct("<HHIIHH")  # "fmt " body: format, channels, rate, byte rate, align, bits
 
 FEATURE_MAGIC = b"RFB1"
 FEATURE_VERSION = 1
+RFB_HEADER = struct.Struct("<4sIIIdII")  # magic, version, frames, mels, rate, hop, win
 
 MANIFEST_KEYS = ("bonafide", "spoof")
 BONAFIDE_ATTACK = "-"
@@ -178,9 +180,9 @@ def read_wav_encoded(path: str | Path) -> tuple[AudioBuffer, str]:
     if "fmt " not in chunks or "data" not in chunks:
         raise UnsupportedFormatError(f"{path}: missing fmt/data chunk")
     fmt = chunks["fmt "]
-    if len(fmt) < 16:
+    if len(fmt) < WAV_FMT.size:
         raise UnsupportedFormatError(f"{path}: fmt chunk too short")
-    audio_format, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    audio_format, channels, sample_rate, _, _, bits = WAV_FMT.unpack_from(fmt)
     if channels != 1 or sample_rate == 0:
         raise UnsupportedFormatError(f"{path}: channels={channels} sample_rate={sample_rate}")
     names = [name for name, enc in WAV_ENCODINGS.items() if enc[:2] == (audio_format, bits)]
@@ -214,9 +216,7 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
     payload = values.astype(dtype).tobytes()
     block_align = bits // 8
     byte_rate = buf.sample_rate * block_align
-    fmt = struct.pack(
-        "<HHIIHH", audio_format, 1, buf.sample_rate, byte_rate, block_align, bits
-    )
+    fmt = WAV_FMT.pack(audio_format, 1, buf.sample_rate, byte_rate, block_align, bits)
     body = b"WAVE"
     body += b"fmt " + struct.pack("<I", len(fmt)) + fmt
     if np.dtype(dtype).kind == "f":  # non-PCM formats carry a sample count
@@ -228,7 +228,8 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
 
 
 def read_tsv(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) per non-blank line of a UTF-8 TSV file.
+    """Yield (line number, fields) per non-blank line of a UTF-8 TSV file; a
+    leading byte-order mark is dropped.
 
     Each line needs n_fields tab-separated fields and a first field no earlier
     line used; ``what`` names the file kind in errors."""
@@ -236,7 +237,7 @@ def read_tsv(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, 
     if not path.is_file():
         raise FileNotFoundError(f"no such {what}: {path}")
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {what} is not UTF-8 text: {exc}") from exc
     seen: set[str] = set()
@@ -275,8 +276,8 @@ def write_features(path: str | Path, bundle: FeatureBundle) -> None:
     mel = np.ascontiguousarray(bundle.mel, dtype="<f8")
     f0 = np.ascontiguousarray(bundle.f0, dtype="<f8")
     n_frames, n_mels = mel.shape
-    header = FEATURE_MAGIC + struct.pack(
-        "<IIIdII",
+    header = RFB_HEADER.pack(
+        FEATURE_MAGIC,
         FEATURE_VERSION,
         n_frames,
         n_mels,
@@ -295,12 +296,10 @@ def read_features(path: str | Path) -> FeatureBundle:
     raw = path.read_bytes()
     if len(raw) < 4 or raw[:4] != FEATURE_MAGIC:
         raise BadMagicError(f"{path}: missing {FEATURE_MAGIC!r} magic")
-    header_size = 4 + struct.calcsize("<IIIdII")
+    header_size = RFB_HEADER.size
     if len(raw) < header_size:
         raise ParseError(f"{path}: truncated header")
-    version, n_frames, n_mels, sample_rate, hop_length, win_length = struct.unpack_from(
-        "<IIIdII", raw, 4
-    )
+    _, version, n_frames, n_mels, sample_rate, hop_length, win_length = RFB_HEADER.unpack_from(raw)
     if version != FEATURE_VERSION:
         raise VersionMismatchError(f"{path}: version {version}, expected {FEATURE_VERSION}")
     mel_bytes = 8 * n_frames * n_mels

@@ -137,7 +137,7 @@ def load_run_config(path: str | None, seed: int | None, rpm: dict | None = None)
     doc: dict = {}
     if path is not None:
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):

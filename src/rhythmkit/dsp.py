@@ -141,8 +141,8 @@ def stft(x: np.ndarray, spec: FrameSpec, n_fft: int) -> np.ndarray:
     return np.fft.rfft(frame_signal(x, spec), n=n_fft, axis=1)
 
 
-def ola_accumulate(out: np.ndarray, frames: np.ndarray, hop: int, first_frame: int = 0) -> None:
-    """Add frame i into ``out`` at sample (first_frame + i) * hop, in place.
+def ola_accumulate(out: np.ndarray, frames: np.ndarray, hop: int) -> None:
+    """Add frame i into ``out`` at sample i * hop, in place (slice ``out`` to offset).
 
     A shifted sum: one strided slice-add per hop-wide column band of the
     stack, ceil(win/hop) adds in all, however many frames there are.
@@ -150,8 +150,7 @@ def ola_accumulate(out: np.ndarray, frames: np.ndarray, hop: int, first_frame: i
     rows = frames.shape[0]
     for lo in range(0, frames.shape[1], hop):
         band = frames[:, lo : lo + hop]
-        start = first_frame * hop + lo
-        span = out[start : start + (rows - 1) * hop + band.shape[1]]
+        span = out[lo : lo + (rows - 1) * hop + band.shape[1]]
         sliding_window_view(span, band.shape[1], writeable=True)[::hop] += band
 
 
@@ -261,8 +260,6 @@ def inverse_filter_rows(frames: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     rows, order = a.shape
     if x.ndim != 2 or x.shape[0] != rows:
         raise ValueError(f"{rows} coefficient rows do not match frames of shape {x.shape}")
-    if order == 0:
-        return x.copy()
     padded = np.concatenate([np.zeros((rows, order)), x], axis=1)
     windows = sliding_window_view(padded, order + 1, axis=1)  # [j, n, m] = x[j, n + m - order]
     taps = np.concatenate([a[:, ::-1], np.ones((rows, 1))], axis=1)
@@ -292,8 +289,6 @@ def iir_filter(
 def allpole_filter(e: np.ndarray, model: LpcModel) -> np.ndarray:
     """Synthesis counterpart: y[n] = e[n] - sum_k a[k] y[n-k], zero initial state."""
     e = np.asarray(e, dtype=np.float64)
-    if model.order == 0:
-        return e.copy()
     a = np.concatenate(([1.0], model.coeffs))
     return iir_filter([1.0], a, e)
 

@@ -45,6 +45,11 @@ class IaifConfig:
             raise ValueError(f"lip_d must lie in (0, 1), got {self.lip_d}")
         if self.glottal_order < 1:
             raise ValueError(f"glottal_order must be positive, got {self.glottal_order}")
+        if self.vocal_tract_order is not None and self.vocal_tract_order <= self.glottal_order:
+            raise ValueError(
+                f"need glottal_order < vocal_tract_order, "
+                f"got g={self.glottal_order} p={self.vocal_tract_order}"
+            )
         if self.win_ms <= 0 or self.hop_ms <= 0 or self.hop_ms > self.win_ms:
             raise ValueError(f"need 0 < hop_ms <= win_ms, got hop={self.hop_ms} win={self.win_ms}")
         if self.highpass_cutoff < 0:
@@ -202,7 +207,7 @@ def extract_glottal_flow(audio: AudioBuffer, cfg: IaifConfig | None = None) -> G
         glottal[bad] = raw[bad]
         glottal *= w
         unstable += int(np.count_nonzero(bad))
-        dsp.ola_accumulate(flow, glottal, spec.hop_length, start)
+        dsp.ola_accumulate(flow[start * spec.hop_length :], glottal, spec.hop_length)
     if unstable:
         log.warning("unstable LPC in %d of %d frames; passed them through raw", unstable, n)
     flow /= envelope

@@ -160,17 +160,15 @@ def apply_plan(
         raise PlanMismatchError(
             f"plan covers {plan.total_frames} frames, bundle has {bundle.n_frames}"
         )
-    mel_parts = []
-    f0_parts = []
-    for seg in plan.segments:
-        stop = seg.start + seg.length
-        mel_parts.append(dsp.linear_resample(bundle.mel[seg.start : stop], seg.factor))
-        f0_seg = dsp.linear_resample(bundle.f0[seg.start : stop], seg.factor)
-        f0_seg[f0_seg < f0_floor] = 0.0
-        f0_parts.append(f0_seg)
+    frames = np.column_stack([bundle.mel, bundle.f0])
+    out = np.concatenate(
+        [dsp.linear_resample(frames[s.start : s.start + s.length], s.factor) for s in plan.segments]
+    )
+    f0 = out[:, -1]
+    f0[f0 < f0_floor] = 0.0
     return FeatureBundle(
-        mel=np.concatenate(mel_parts, axis=0),
-        f0=np.concatenate(f0_parts),
+        mel=out[:, :-1],
+        f0=f0,
         sample_rate=bundle.sample_rate,
         hop_length=bundle.hop_length,
         win_length=bundle.win_length,

@@ -286,6 +286,12 @@ class TestManifest:
         with pytest.raises(DuplicateIdError, match=":3"):
             list(audio_io.read_tsv(path, 2, "table"))
 
+    def test_leading_bom_ignored(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"\xef\xbb\xbfu0\ta.wav\tbonafide\t-\n")
+        assert list(audio_io.read_tsv(path, 4, "manifest")) == [(1, ["u0", "a.wav", "bonafide", "-"])]
+        assert audio_io.read_manifest(path)[0].utt_id == "u0"
+
     def test_round_trip(self, tmp_path):
         entries = [
             ManifestEntry("u1", "a.wav", "bonafide", "-"),

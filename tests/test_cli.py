@@ -205,6 +205,15 @@ class TestFeaturesCommand:
         bundle = audio_io.read_features(files[0])
         assert bundle.n_frames > 0 and bundle.n_mels == 80
 
+    def test_bom_manifest_writes_plain_ids(self, corpus, tmp_path):
+        bom = corpus.parent / "bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + corpus.read_bytes())
+        out = tmp_path / "feat"
+        assert main(["features", str(bom), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.rfb")) == [
+            "sp0.rfb", "utt0.rfb", "utt1.rfb", "utt2.rfb"
+        ]
+
 
 class TestAugmentCommand:
     def test_rpm_off_preserves_duration(self, corpus, tmp_path):
@@ -409,6 +418,12 @@ class TestConfig:
         assert cfg.features.n_mels == 80
         assert cfg.griffin_lim.n_iters == 60
 
+    def test_bom_config_loads(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"\xef\xbb\xbf" + b'{"seed": 3, "rpm": {"seg_min": 5}}')
+        cfg = cli.load_run_config(str(path), None)
+        assert cfg.seed == 3 and cfg.rpm.seg_min == 5
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             build_run_config({"rhythm": {}})
@@ -518,6 +533,9 @@ class TestConfig:
         {"features": {"fmin": 8000.0, "fmax": 7000.0}},
         {"features": {"fmax": 0.0}},
         {"features": {"n_fft": 1023, "win_length": 1023}},
+        {"iaif": {"vocal_tract_order": 3}},
+        {"iaif": {"vocal_tract_order": 4}},
+        {"iaif": {"vocal_tract_order": 0}},
     ])
     def test_bad_values_rejected_at_load(self, doc):
         with pytest.raises(ConfigError):
@@ -535,7 +553,7 @@ class TestConfig:
     "manifest-not-utf8", "config-not-utf8", "scores-not-utf8", "mapping-duplicate",
     "factor-0", "factor-nan", "factor-inf", "factor-lo-0", "factor-lo-nan-hi-nan",
     "factor-lo-above-hi", "factor-hi-below-config-lo", "config-wrong-type",
-    "fmax-below-fmin", "fmax-zero", "n-fft-odd",
+    "fmax-below-fmin", "fmax-zero", "n-fft-odd", "vt-order-not-above-glottal",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     out = tmp_path / "out"
@@ -555,6 +573,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     fmax_zero.write_text('{"features": {"fmax": 0.0}}')
     odd_fft = tmp_path / "odd_fft.json"
     odd_fft.write_text('{"features": {"n_fft": 1023, "win_length": 1023}}')
+    low_vt = tmp_path / "low_vt.json"
+    low_vt.write_text('{"iaif": {"vocal_tract_order": 3}}')
     wav = str(corpus.parent / "utt0.wav")
     augment = ["augment", str(corpus), "--out", str(out)]
     argv = {
@@ -573,6 +593,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "fmax-below-fmin": ["features", str(corpus), "--out", str(out), "--config", str(fmax_below)],
         "fmax-zero": ["features", str(corpus), "--out", str(out), "--config", str(fmax_zero)],
         "n-fft-odd": augment + ["--config", str(odd_fft)],
+        "vt-order-not-above-glottal":
+            ["glottal", str(corpus), "--out", str(out), "--config", str(low_vt)],
     }[case]
     assert main(argv) == 1
     assert not out.exists()

@@ -77,7 +77,7 @@ class TestOverlapAdd:
         # Block-wise accumulation at frame offsets sums to the same signal.
         blocks = np.zeros_like(out)
         for start in range(0, 9, 4):
-            dsp.ola_accumulate(blocks, frames[start : start + 4], hop, start)
+            dsp.ola_accumulate(blocks[start * hop :], frames[start : start + 4], hop)
         assert np.allclose(blocks, out, rtol=1e-12, atol=1e-12)
 
     def test_mixed_lengths_rejected(self):

@@ -250,6 +250,11 @@ class TestBreakdown:
         with pytest.raises(ParseError):
             load_attack_groups(path)
 
+    def test_mapping_file_with_bom_maps_first_attack(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_bytes(b"\xef\xbb\xbfB99\tTTS\nC01\tVC\n")
+        assert load_attack_groups(path) == {"B99": "TTS", "C01": "VC"}
+
     def test_mapping_file_duplicate_attack(self, tmp_path):
         path = tmp_path / "map.tsv"
         path.write_text("B99\tTTS\nB99\tVC\n")

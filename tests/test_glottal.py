@@ -177,9 +177,9 @@ class TestExtractGlottalFlow:
         blocks = []
         real_ola = dsp.ola_accumulate
 
-        def recording_ola(out, frames, hop, first_frame=0):
+        def recording_ola(out, frames, hop):
             blocks.append(np.array(frames))
-            real_ola(out, frames, hop, first_frame)
+            real_ola(out, frames, hop)
 
         monkeypatch.setattr(dsp, "levinson_rows", flaky)
         monkeypatch.setattr(dsp, "ola_accumulate", recording_ola)

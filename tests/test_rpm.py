@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FS, sine
+from rhythmkit import dsp
 from rhythmkit.errors import PlanMismatchError
 from rhythmkit.features import FeatureBundle
 from rhythmkit.rpm import (
@@ -194,6 +195,35 @@ class TestApplyPlan:
             )
             assert out.n_frames == expect
             assert out.n_mels == bundle.n_mels
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_separate_resampling_bit_for_bit(self, seed):
+        # Factor-1.0 segments, 1-frame segments and a 5-frame segment squeezed to 1 frame.
+        plan = SegmentPlan(segments=(
+            Segment(0, 7, 1.0), Segment(7, 1, 2.3), Segment(8, 5, 0.1), Segment(13, 9, 1.37),
+            Segment(22, 1, 1.0), Segment(23, 12, 0.61), Segment(35, 4, 2.0),
+        ))
+        rng = np.random.default_rng(seed)
+        mel = rng.uniform(-23.0, 3.0, (plan.total_frames, 6))
+        mel[rng.random(mel.shape) < 0.2] = -0.0
+        f0 = rng.choice([0.0, 50.0, 50.0, 49.999, 120.0, 310.5], plan.total_frames)
+        bundle = FeatureBundle(mel=mel, f0=f0, sample_rate=16000.0, hop_length=256, win_length=1024)
+        mel_parts, f0_parts = [], []
+        for seg in plan.segments:  # reference: mel and F0 as two timelines, snapped per segment
+            stop = seg.start + seg.length
+            mel_parts.append(dsp.linear_resample(mel[seg.start : stop], seg.factor))
+            f0_seg = dsp.linear_resample(f0[seg.start : stop], seg.factor)
+            f0_seg[f0_seg < 50.0] = 0.0
+            f0_parts.append(f0_seg)
+        out = apply_plan(bundle, plan, f0_floor=50.0)
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
+
+        assert np.array_equal(bits(out.mel), bits(np.concatenate(mel_parts)))
+        assert np.array_equal(bits(out.f0), bits(np.concatenate(f0_parts)))
+        assert np.any(np.signbit(out.mel) & (out.mel == 0.0))
+        assert np.any(out.f0 == 50.0) and np.any(out.f0 == 0.0)
 
     def test_plan_mismatch(self):
         bundle = make_bundle(30)
