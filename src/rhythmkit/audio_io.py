@@ -222,8 +222,6 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
     if np.dtype(dtype).kind == "f":  # non-PCM formats carry a sample count
         body += b"fact" + struct.pack("<II", 4, len(buf))
     body += b"data" + struct.pack("<I", len(payload)) + payload
-    if len(payload) & 1:
-        body += b"\x00"
     write_file(path, b"RIFF" + struct.pack("<I", len(body)) + body)
 
 

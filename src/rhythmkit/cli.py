@@ -132,12 +132,23 @@ def build_run_config(doc: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """json object_pairs_hook: a key repeated in one object is an error, not last-wins."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key {key!r} in config")
+        doc[key] = value
+    return doc
+
+
 def load_run_config(path: str | None, seed: int | None, rpm: dict | None = None) -> RunConfig:
     """Parse the config file with the given --seed and rpm flag values laid over it."""
     doc: dict = {}
     if path is not None:
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+            text = Path(path).read_text(encoding="utf-8-sig")
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):

@@ -288,7 +288,6 @@ def iir_filter(
 
 def allpole_filter(e: np.ndarray, model: LpcModel) -> np.ndarray:
     """Synthesis counterpart: y[n] = e[n] - sum_k a[k] y[n-k], zero initial state."""
-    e = np.asarray(e, dtype=np.float64)
     a = np.concatenate(([1.0], model.coeffs))
     return iir_filter([1.0], a, e)
 
@@ -297,7 +296,6 @@ def leaky_integrate(x: np.ndarray, d: float) -> np.ndarray:
     """y[n] = x[n] + d*y[n-1] along the last axis; inverse of the differentiator 1 - d z^-1."""
     if not 0.0 < d <= 1.0:
         raise ValueError(f"leak coefficient must lie in (0, 1], got {d}")
-    x = np.asarray(x, dtype=np.float64)
     return iir_filter([1.0], [1.0, -d], x)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dsp
 from .audio_io import AudioBuffer
-from .errors import TooShortError, UnstableFrameError
+from .errors import UnstableFrameError
 
 log = logging.getLogger(__name__)
 
@@ -188,11 +188,6 @@ def extract_glottal_flow(audio: AudioBuffer, cfg: IaifConfig | None = None) -> G
     """
     cfg = cfg or IaifConfig()
     spec = cfg.frame_spec(audio.sample_rate)
-    if len(audio) < spec.win_length:
-        raise TooShortError(
-            f"utterance of {len(audio)} samples is shorter than the "
-            f"{spec.win_length}-sample analysis window"
-        )
     x = highpass(audio.samples, audio.sample_rate, cfg.highpass_cutoff)
     frames = dsp.frame_signal(x, dsp.FrameSpec(spec.win_length, spec.hop_length, "rect"))
     n = frames.shape[0]

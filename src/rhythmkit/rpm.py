@@ -9,7 +9,7 @@ output on every platform, independent of batch order or parallelism.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -166,13 +166,7 @@ def apply_plan(
     )
     f0 = out[:, -1]
     f0[f0 < f0_floor] = 0.0
-    return FeatureBundle(
-        mel=out[:, :-1],
-        f0=f0,
-        sample_rate=bundle.sample_rate,
-        hop_length=bundle.hop_length,
-        win_length=bundle.win_length,
-    )
+    return replace(bundle, mel=out[:, :-1], f0=f0)
 
 
 def rng_for_utterance(seed: int, utt_id: str) -> SplitMix64:
@@ -199,8 +193,6 @@ def speed_perturb(audio: AudioBuffer, factor: float) -> AudioBuffer:
     sample_rate field is kept, so every frequency shifts by 1/factor on
     playback. Contrast case to feature-domain rhythm perturbation.
     """
-    if factor <= 0.0:
-        raise ValueError(f"factor must be positive, got {factor}")
     return AudioBuffer(
         samples=dsp.linear_resample(audio.samples, factor),
         sample_rate=audio.sample_rate,

@@ -32,6 +32,24 @@ def _raw_wav(fmt_code, channels, rate, bits, payload):
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
+def _riff(*chunks):
+    """RIFF/WAVE bytes holding the given (id, body) chunks as they are."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+# Malformed WAV headers: name -> (file bytes, text the UnsupportedFormatError carries).
+HOSTILE_WAVS = {
+    "under-12-bytes": (b"RIFF\x03\x00\x00\x00WAV", "too small"),
+    "chunk-past-end": (_raw_wav(1, 1, 16000, 16, b"\x00" * 8)[:-4], "truncated chunk"),
+    "no-data-chunk": (_riff((b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16))),
+                      "missing fmt/data"),
+    "no-fmt-chunk": (_riff((b"LIST", b"abcd"), (b"data", b"\x00" * 8)), "missing fmt/data"),
+    "fmt-under-16-bytes": (_riff((b"fmt ", struct.pack("<HHIIH", 1, 1, 16000, 32000, 2)),
+                                 (b"data", b"\x00" * 8)), "fmt chunk too short"),
+}
+
+
 class TestReadWav:
     def test_pcm16_one_second(self, tmp_path):
         values = np.arange(16000, dtype="<i2")
@@ -92,6 +110,15 @@ class TestReadWav:
             audio_io.read_wav_encoded(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("name", sorted(HOSTILE_WAVS))
+    def test_hostile_header_rejected(self, tmp_path, name):
+        raw, message = HOSTILE_WAVS[name]
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(raw)
+        with pytest.raises(UnsupportedFormatError, match=message) as info:
+            audio_io.read_wav_encoded(path)
+        assert str(path) in str(info.value)
+
 
 class TestWriteWav:
     def test_float32_round_trip_bit_exact(self, tmp_path):
@@ -131,6 +158,17 @@ class TestWriteWav:
         assert np.array_equal(np.frombuffer(path.read_bytes()[-2 * len(codes):], "<i2"), codes)
         back = audio_io.read_wav(path)
         assert np.array_equal(back.samples, buf.samples)
+
+    @pytest.mark.parametrize("encoding", sorted(audio_io.WAV_ENCODINGS))
+    def test_odd_sample_count_riff_size(self, tmp_path, encoding):
+        samples = np.linspace(-0.5, 0.5, 7)
+        path = tmp_path / "odd.wav"
+        audio_io.write_wav(path, AudioBuffer(samples=samples, sample_rate=8000), encoding)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, 4)[0] == len(raw) - 8
+        back, found = audio_io.read_wav_encoded(path)
+        assert found == encoding and back.sample_rate == 8000
+        assert np.max(np.abs(back.samples - samples)) <= 1.0 / 32768
 
     def test_empty_buffer_rejected(self, tmp_path):
         buf = AudioBuffer(samples=np.zeros(0), sample_rate=16000)

@@ -15,7 +15,7 @@ import pytest
 from conftest import am_harmonic_signal, two_formant_voice
 from rhythmkit import audio_io, cli
 from rhythmkit.cli import RunConfig, build_run_config, config_as_dict, main, ConfigError
-from test_audio_io import _raw_wav
+from test_audio_io import HOSTILE_WAVS, _raw_wav
 from test_evaluation import eer_oracle
 
 NON_DEFAULT_CONFIG = {
@@ -318,6 +318,32 @@ class TestSpeedPerturbCommand:
         assert len(audio_io.read_wav(dst)) == len(audio_io.read_wav(src)) // 2
 
 
+class TestHostileWavHeaders:
+    @pytest.mark.parametrize("name", sorted(HOSTILE_WAVS))
+    def test_speedperturb_exits_1_and_writes_nothing(self, tmp_path, caplog, name):
+        src = tmp_path / f"{name}.wav"
+        src.write_bytes(HOSTILE_WAVS[name][0])
+        out = tmp_path / "out"
+        assert main(["speedperturb", str(src), str(out / "x.wav"), "--factor", "1.1"]) == 1
+        assert not out.exists()
+        assert any(HOSTILE_WAVS[name][1] in rec.message for rec in caplog.records)
+
+    def test_glottal_fails_each_file(self, tmp_path, caplog):
+        lines = []
+        for name, (raw, _) in HOSTILE_WAVS.items():
+            (tmp_path / f"{name}.wav").write_bytes(raw)
+            lines.append(f"{name}\t{name}.wav\tbonafide\t-\n")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("".join(lines))
+        out = tmp_path / "out"
+        assert main(["glottal", str(manifest), "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["config.effective.json"]
+        for name, (_, message) in HOSTILE_WAVS.items():
+            hits = [rec.message for rec in caplog.records
+                    if rec.message.startswith(f"{name}: UnsupportedFormatError: ")]
+            assert len(hits) == 1 and message in hits[0]
+
+
 class TestEerCommand:
     @pytest.fixture()
     def scorefile(self, tmp_path):
@@ -446,6 +472,24 @@ class TestConfig:
         assert main(["glottal", str(corpus), "--out", str(tmp_path / "o"), "--config", str(bad)]) == 1
         assert main(["glottal", "--out", str(tmp_path / "o")]) == 1  # missing manifest arg
 
+    @pytest.mark.parametrize("doc, key", [('{"seed": 1, "seed": 2}', "seed"),
+                                          ('{"rpm": {"seg_min": 5, "seg_min": 6}}', "seg_min")],
+                             ids=["top-level", "nested"])
+    def test_duplicate_key_rejected(self, tmp_path, doc, key):
+        path = tmp_path / "run.json"
+        path.write_text(doc)
+        with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+            cli.load_run_config(str(path), None)
+
+    def test_highpass_above_nyquist_fails_each_file(self, corpus, tmp_path, caplog):
+        cfg = tmp_path / "hp.json"
+        cfg.write_text('{"iaif": {"highpass_cutoff": 9000.0}}')
+        out = tmp_path / "o"
+        assert main(["glottal", str(corpus), "--out", str(out), "--config", str(cfg)]) == 2
+        for utt_id in ("utt0", "utt1", "utt2", "sp0"):
+            assert sum(rec.message.startswith(f"{utt_id}: ValueError: ")
+                       and "Nyquist" in rec.message for rec in caplog.records) == 1
+
     def test_bad_iaif_window_is_config_error(self, corpus, tmp_path):
         bad = tmp_path / "window.json"
         bad.write_text('{"iaif": {"window": "bogus"}}')
@@ -536,6 +580,11 @@ class TestConfig:
         {"iaif": {"vocal_tract_order": 3}},
         {"iaif": {"vocal_tract_order": 4}},
         {"iaif": {"vocal_tract_order": 0}},
+        {"iaif": {"glottal_order": 0}},
+        {"iaif": {"highpass_cutoff": -1.0}},
+        {"features": {"n_mels": 0}},
+        {"features": {"win_length": 0}},
+        {"griffin_lim": {"init_phase": "bogus"}},
     ])
     def test_bad_values_rejected_at_load(self, doc):
         with pytest.raises(ConfigError):
@@ -554,6 +603,7 @@ class TestConfig:
     "factor-0", "factor-nan", "factor-inf", "factor-lo-0", "factor-lo-nan-hi-nan",
     "factor-lo-above-hi", "factor-hi-below-config-lo", "config-wrong-type",
     "fmax-below-fmin", "fmax-zero", "n-fft-odd", "vt-order-not-above-glottal",
+    "config-duplicate-key",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     out = tmp_path / "out"
@@ -575,6 +625,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     odd_fft.write_text('{"features": {"n_fft": 1023, "win_length": 1023}}')
     low_vt = tmp_path / "low_vt.json"
     low_vt.write_text('{"iaif": {"vocal_tract_order": 3}}')
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"seed": 1, "seed": 2, "rpm": {"seg_min": 5, "seg_min": 6}}')
     wav = str(corpus.parent / "utt0.wav")
     augment = ["augment", str(corpus), "--out", str(out)]
     argv = {
@@ -595,6 +647,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "n-fft-odd": augment + ["--config", str(odd_fft)],
         "vt-order-not-above-glottal":
             ["glottal", str(corpus), "--out", str(out), "--config", str(low_vt)],
+        "config-duplicate-key":
+            ["features", str(corpus), "--out", str(out), "--config", str(repeated)],
     }[case]
     assert main(argv) == 1
     assert not out.exists()

@@ -328,3 +328,8 @@ class TestSpeedPerturb:
     def test_sample_rate_field_unchanged(self):
         out = speed_perturb(sine(100.0), 0.5)
         assert out.sample_rate == FS
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0])
+    def test_nonpositive_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="positive"):
+            speed_perturb(sine(220.0), factor)
