@@ -92,10 +92,19 @@ def read_scores(path: str | Path) -> ScoreSet:
     return ScoreSet(scores, bonafide, attack)
 
 
+def _sorted_scores(name: str, values: np.ndarray) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} scores must be a 1-D array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} scores must be finite")
+    return np.sort(arr)
+
+
 def eer_from_scores(bonafide: np.ndarray, spoof: np.ndarray) -> EerResult:
-    """EER of raw score arrays (higher score = more bonafide)."""
-    bona = np.sort(np.asarray(bonafide, dtype=np.float64))
-    spoof = np.sort(np.asarray(spoof, dtype=np.float64))
+    """EER of raw 1-D finite score arrays (higher score = more bonafide)."""
+    bona = _sorted_scores("bonafide", bonafide)
+    spoof = _sorted_scores("spoof", spoof)
     if len(bona) == 0 or len(spoof) == 0:
         raise InsufficientClassesError(
             f"need at least one bonafide and one spoof trial, got {len(bona)}/{len(spoof)}"
@@ -135,14 +144,19 @@ def eer_breakdown(scores: ScoreSet, attack_groups: dict[str, str] | None = None)
     unknown = [a for a in attacks if a not in groups]
     if unknown:
         raise UnknownAttackError(f"attacks with no TTS/VC mapping: {unknown}")
-    per_attack = {a: eer_from_scores(bona, scores.spoof_scores({a})) for a in attacks}
+    # Code each spoof trial's label once: pools are then integer compares, not np.isin over objects.
+    spoof_mask = ~scores.bonafide
+    spoof = scores.scores[spoof_mask]
+    code = {a: i for i, a in enumerate(attacks)}
+    codes = np.fromiter(map(code.__getitem__, scores.attack[spoof_mask]), np.intp, len(spoof))
+    per_attack = {a: eer_from_scores(bona, spoof[codes == i]) for i, a in enumerate(attacks)}
     result: dict[str, EerResult | None] = {}
     for group in ("TTS", "VC"):
-        members = {a for a in attacks if groups.get(a) == group}
-        pooled = scores.spoof_scores(members)
+        member = np.array([groups[a] == group for a in attacks], dtype=bool)
+        pooled = spoof[member[codes]]
         result[group] = eer_from_scores(bona, pooled) if len(pooled) else None
     return EerBreakdown(
-        total=compute_eer(scores),
+        total=eer_from_scores(bona, spoof),
         tts=result["TTS"],
         vc=result["VC"],
         per_attack=per_attack,

@@ -90,7 +90,9 @@ def griffin_lim(
     The spectral distance || |STFT(x_k)| - M ||_F is non-increasing across
     iterations; the final waveform is peak-normalized to 0.95.
     """
-    target = np.asarray(magnitudes, dtype=np.float64)
+    # C order like the buffers below: mel_to_linear returns a transposed
+    # view, and mixed layouts slow every elementwise step of the loop.
+    target = np.ascontiguousarray(magnitudes, dtype=np.float64)
     if target.ndim != 2:
         raise ShapeMismatchError(f"magnitudes must be 2-D, got shape {target.shape}")
     if not np.all(np.isfinite(target)) or np.any(target < 0.0):
@@ -104,34 +106,42 @@ def griffin_lim(
     # over the squared-window envelope (computed once for every iteration).
     # This is the projection Griffin-Lim's convergence proof needs.
     w = spec.window_array()
+    win, hop = spec.win_length, spec.hop_length
     envelope = dsp.ola_envelope(spec, target.shape[0], window_power=2)
-
-    def istft(spectra: np.ndarray) -> np.ndarray:
-        frames = np.fft.irfft(spectra, n=n_fft, axis=1)[:, : spec.win_length]
-        frames *= w
-        out = np.zeros_like(envelope)
-        dsp.ola_accumulate(out, frames, spec.hop_length)
-        return out / envelope
+    # Every iteration reuses these buffers; x's analysis frames are a view of x.
+    frames = np.empty((target.shape[0], n_fft))
+    head = frames[:, :win]
+    spectra = np.empty(target.shape, dtype=np.complex128)
+    mags = np.empty_like(target)
+    scratch = np.empty_like(target)
+    x = np.empty_like(envelope)
+    x_frames = dsp.frame_signal(x, dsp.FrameSpec(win, hop, "rect"))
 
     if cfg.init_phase == "zeros":
-        phase = np.ones_like(target, dtype=np.complex128)
+        spectra[...] = target
     else:
         rng = np.random.default_rng(cfg.seed)
-        phase = np.exp(2j * np.pi * rng.random(target.shape))
-    x = istft(target * phase)
+        np.multiply(target, np.exp(2j * np.pi * rng.random(target.shape)), out=spectra)
     objective = np.empty(cfg.n_iters + 1)
     for it in range(cfg.n_iters + 1):
-        spectra = dsp.stft(x, spec, n_fft)
-        mags = np.abs(spectra)
+        np.fft.irfft(spectra, n=n_fft, axis=1, out=frames)
+        head *= w
+        x.fill(0.0)
+        dsp.ola_accumulate(x, head, hop)
+        x /= envelope
+        np.multiply(x_frames, w, out=head)
+        frames[:, win:] = 0.0  # zero padding, which irfft filled
+        np.fft.rfft(frames, axis=1, out=spectra)
+        np.abs(spectra, out=mags)
         objective[it] = _spectral_distance(mags, target)
         if it == cfg.n_iters:
             break
         # Keep measured phase, impose target magnitude: a real rescale in
         # place; zero bins have no phase and take the target as is.
-        spectra *= target / np.maximum(mags, 1e-300)
-        zero = mags == 0.0
-        spectra[zero] = target[zero]
-        x = istft(spectra)
+        np.maximum(mags, 1e-300, out=scratch)
+        np.divide(target, scratch, out=scratch)
+        spectra *= scratch
+        np.copyto(spectra, target, where=mags == 0.0)
     audio = AudioBuffer(samples=dsp.peak_normalize(x), sample_rate=sample_rate)
     return GriffinLimResult(audio=audio, objective=objective)
 

@@ -173,6 +173,21 @@ class TestComputeEer:
             b = eer_from_scores(-spoof, -bona).eer
             assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["bonafide", "spoof"])
+    def test_non_finite_input_names_argument(self, name, bad):
+        args = {"bonafide": [0.1, 0.7], "spoof": [0.2, 0.3]}
+        args[name] = [args[name][0], bad, args[name][1]]
+        with pytest.raises(ValueError, match=f"^{name} scores must be finite$"):
+            eer_from_scores(**args)
+
+    @pytest.mark.parametrize("name", ["bonafide", "spoof"])
+    def test_non_1d_input_names_argument(self, name):
+        args = {"bonafide": [0.1, 0.7], "spoof": [0.2, 0.3]}
+        args[name] = np.array([[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(ValueError, match=rf"^{name} scores must be a 1-D array, got shape \(2, 2\)$"):
+            eer_from_scores(**args)
+
     def test_threshold_brackets_crossing(self):
         rng = np.random.default_rng(3)
         bona = rng.normal(1.0, 1.0, 50)
@@ -249,6 +264,49 @@ class TestBreakdown:
         path.write_text("B99\tother\n")
         with pytest.raises(ParseError):
             load_attack_groups(path)
+
+    def test_bonafide_row_naming_an_attack_joins_no_pool(self):
+        scores = ScoreSet(
+            [1.0, 2.0, 0.5, 0.0], [True, True, True, False], ["-", "A07", "A07", "A17"]
+        )
+        down = eer_breakdown(scores)
+        assert list(down.per_attack) == ["A17"]
+        assert down.tts is None
+        assert down.vc == down.total == eer_from_scores([1.0, 2.0, 0.5], [0.0])
+
+    def test_mapping_with_no_vc_attack_in_file(self):
+        scores = ScoreSet([1.0, 0.2, 0.3], [True, False, False], ["-", "A17", "A18"])
+        down = eer_breakdown(scores, attack_groups={"A17": "TTS", "A18": "TTS"})
+        assert down.vc is None
+        assert down.tts == down.total
+
+    def test_mapping_entries_absent_from_file_change_nothing(self):
+        scores = ScoreSet(
+            [1.0, 0.4, 0.2, 0.9, 0.1], [True, True, False, False, False],
+            ["-", "-", "A07", "A17", "A07"],
+        )
+        groups = {**DEFAULT_ATTACK_GROUPS, "B99": "VC", "C01": "TTS"}
+        assert eer_breakdown(scores, attack_groups=groups) == eer_breakdown(scores)
+
+    @pytest.mark.parametrize("bona, spoof, message", [
+        ([], [0.1, 0.2], "need at least one bonafide and one spoof trial, got 0/2"),
+        ([1.0, 0.5, 0.7], [], "need at least one bonafide and one spoof trial, got 3/0"),
+    ])
+    def test_one_class_only_raises(self, bona, spoof, message):
+        with pytest.raises(InsufficientClassesError) as info:
+            eer_breakdown(make_set(bona, spoof))
+        assert str(info.value) == message
+
+    def test_unsorted_labels_give_sorted_keys(self):
+        attacks = ["A19", "A07", "A13", "A17", "A10", "A07", "A19", "A13"]
+        scores = ScoreSet(
+            [1.0, 0.9] + [0.1 * k for k in range(len(attacks))],
+            [True, True] + [False] * len(attacks),
+            ["-", "-"] + attacks,
+        )
+        down = eer_breakdown(scores)
+        assert list(down.per_attack) == sorted(set(attacks))
+        assert list(json.loads(report_json(down))["per_attack"]) == sorted(set(attacks))
 
     def test_mapping_file_with_bom_maps_first_attack(self, tmp_path):
         path = tmp_path / "map.tsv"

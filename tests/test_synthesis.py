@@ -2,15 +2,47 @@ import numpy as np
 import pytest
 
 from conftest import FS, am_harmonic_signal, sine
+from rhythmkit import dsp
 from rhythmkit.errors import ShapeMismatchError
 from rhythmkit.features import FeatureConfig, mel_filterbank, stft_magnitude
 from rhythmkit.rpm import RpmConfig
 from rhythmkit.synthesis import (
     GriffinLimConfig,
+    _spectral_distance,
     copy_synthesize,
     griffin_lim,
     mel_to_linear,
 )
+
+
+def griffin_lim_reference(target, spec, cfg):
+    """griffin_lim written with a fresh array for every step: the oracle the
+    buffer-reusing loop must match byte for byte."""
+    n_fft = 2 * (target.shape[1] - 1)
+    w = spec.window_array()
+    envelope = dsp.ola_envelope(spec, target.shape[0], window_power=2)
+
+    def istft(spectra):
+        frames = np.fft.irfft(spectra, n=n_fft, axis=1)[:, : spec.win_length] * w
+        out = np.zeros_like(envelope)
+        dsp.ola_accumulate(out, frames, spec.hop_length)
+        return out / envelope
+
+    phase = np.ones(target.shape, dtype=np.complex128)
+    if cfg.init_phase == "random":
+        phase = np.exp(2j * np.pi * np.random.default_rng(cfg.seed).random(target.shape))
+    x = istft(target * phase)
+    objective = []
+    for it in range(cfg.n_iters + 1):
+        spectra = np.fft.rfft(dsp.frame_signal(x, spec), n=n_fft, axis=1)
+        mags = np.abs(spectra)
+        objective.append(_spectral_distance(mags, target))
+        if it == cfg.n_iters:
+            break
+        spectra = spectra * (target / np.maximum(mags, 1e-300))
+        spectra[mags == 0.0] = target[mags == 0.0]
+        x = istft(spectra)
+    return dsp.peak_normalize(x), np.array(objective)
 
 
 class TestMelToLinear:
@@ -92,6 +124,18 @@ class TestGriffinLim:
         res = griffin_lim(mags, cfg.frame, GriffinLimConfig(n_iters=2), FS)
         n = mags.shape[0]
         assert len(res.audio) == (n - 1) * cfg.frame.hop_length + cfg.frame.win_length
+
+    @pytest.mark.parametrize("order", ["C", "F"])  # mel_to_linear returns F order
+    @pytest.mark.parametrize("init_phase", ["zeros", "random"])
+    def test_window_shorter_than_n_fft_matches_reference(self, init_phase, order):
+        cfg = FeatureConfig(frame=dsp.FrameSpec(800, 200, "hann"))
+        mags = stft_magnitude(am_harmonic_signal(seed=4, seconds=0.5), cfg)
+        mags = np.asarray(mags, order=order)
+        gl = GriffinLimConfig(n_iters=8, init_phase=init_phase, seed=2)
+        res = griffin_lim(mags, cfg.frame, gl, FS)
+        audio, objective = griffin_lim_reference(mags, cfg.frame, gl)
+        assert res.audio.samples.tobytes() == audio.tobytes()
+        np.testing.assert_allclose(res.objective, objective, rtol=1e-12, atol=0.0)
 
     def test_rejects_bad_magnitudes(self):
         cfg = FeatureConfig()
