@@ -186,16 +186,17 @@ def overlap_add(frames: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return out / envelope
 
 
-def autocorrelation(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation r[..., k] = sum_n x[..., n]*x[..., n+k], k = 0..max_lag,
-    of each row of (..., n) input."""
+def autocorrelation(frames: np.ndarray, max_lag: int, min_lag: int = 1) -> np.ndarray:
+    """Biased autocorrelation r[..., k] = sum_n x[..., n]*x[..., n+k] of each row of
+    (..., n) input, at k = 0 and k = min_lag..max_lag; skipped lags 1..min_lag-1 read NaN."""
     x = np.asarray(frames, dtype=np.float64)
     n = x.shape[-1]
     if max_lag >= n:
         raise LagTooLargeError(f"max_lag={max_lag} must be below frame length {n}")
     r = np.empty(x.shape[:-1] + (max_lag + 1,))
-    for k in range(max_lag + 1):
-        r[..., k] = np.einsum("...i,...i->...", x[..., : n - k], x[..., k:])
+    r[..., 1:min_lag] = np.nan
+    for k in (0, *range(min_lag, max_lag + 1)):
+        r[..., k] = np.vecdot(x[..., : n - k], x[..., k:])
     return r
 
 
@@ -217,7 +218,7 @@ def levinson_rows(r: np.ndarray, order: int) -> LpcRows:
     ks = np.zeros((rows, order))
     for i in range(1, order + 1):
         head = a[:, : i - 1]
-        acc = r[:, i] + np.einsum("ij,ij->i", head, r[:, i - 1 : 0 : -1])
+        acc = r[:, i] + np.vecdot(head, r[:, i - 1 : 0 : -1])
         k = np.where(live, -acc / err, 0.0)
         ks[:, i - 1] = k
         bad = live & ~(np.abs(k) < 1.0)

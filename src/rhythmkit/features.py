@@ -110,7 +110,7 @@ def estimate_f0(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     n = frames.shape[0]
     if lag_lo > lag_hi:
         return np.zeros(n)
-    r = dsp.autocorrelation(frames, lag_hi)
+    r = dsp.autocorrelation(frames, lag_hi, min_lag=lag_lo)
     voiced = r[:, 0] > 0.0
     rho = r / np.where(voiced, r[:, 0], 1.0)[:, None]
     k = lag_lo + np.argmax(rho[:, lag_lo : lag_hi + 1], axis=1)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from conftest import random_stable_model, separated_stable_model
+from conftest import random_stable_model, separated_stable_model, two_formant_voice
 from rhythmkit import dsp
 from rhythmkit.errors import (
     InconsistentFrameLengthError,
@@ -393,3 +393,63 @@ class TestBatchedRows:
             scale = max(np.max(np.abs(row)), 1e-300) * (1.0 + np.sum(np.abs(coeffs[i])))
             _close(e[i], dsp.inverse_filter(row, model), scale)
             _close(e[i], lfilter(np.concatenate(([1.0], coeffs[i])), [1.0], row), scale)
+
+
+class TestDotPathAtProductionShapes:
+    """The autocorrelation and Levinson dot products on the stacks the
+    pipeline feeds them: an IAIF block and F0's frames of a 3 s voice."""
+
+    @staticmethod
+    def iaif_block():
+        x = two_formant_voice(seconds=3.0)[0].samples
+        return dsp.frame_signal(x, dsp.FrameSpec(400, 80, "hann"))[:256]
+
+    @staticmethod
+    def f0_frames():
+        x = two_formant_voice(seconds=3.0)[0].samples
+        return dsp.frame_signal(x, dsp.FrameSpec(1024, 256, "rect"))
+
+    @pytest.mark.parametrize("stack, max_lag", [("iaif_block", 18), ("f0_frames", 320)])
+    def test_against_per_lag_dot(self, stack, max_lag):
+        x = getattr(self, stack)()
+        r = dsp.autocorrelation(x, max_lag)
+        assert r.shape == (len(x), max_lag + 1)
+        for row, got in zip(x, r):
+            ref = _autocorrelation_loop(row, max_lag)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * ref[0])
+
+    @pytest.mark.parametrize("stack, max_lag", [("iaif_block", 18), ("f0_frames", 320)])
+    def test_zero_rows_are_exactly_zero(self, stack, max_lag):
+        # F0's voicing test is r[:, 0] > 0.0, so silence must give exact zeros.
+        x = np.array(getattr(self, stack)())
+        x[[0, 5, -1]] = 0.0
+        r = dsp.autocorrelation(x, max_lag)
+        assert np.all(r[[0, 5, -1]] == 0.0)
+        assert np.all(r[1:5, 0] > 0.0)
+
+    def test_strided_view_matches_contiguous_copy_bitwise(self):
+        # Output bytes must not depend on --jobs or on how a stack is laid out.
+        view = self.f0_frames()
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        assert np.array_equal(dsp.autocorrelation(view, 320), dsp.autocorrelation(copy, 320))
+
+    def test_levinson_rows_at_tract_order(self):
+        r = dsp.autocorrelation(self.iaif_block(), 18)
+        batch = dsp.levinson_rows(r, 18)
+        assert not batch.unstable.any()
+        # Voiced frames' normal equations are conditioned only by AUTOCORR_REG,
+        # so a different summation order moves coefficients by ~3e-10 of their scale.
+        for i, row in enumerate(r):
+            coeffs, ks = _levinson_loop(row, 18)
+            scale = np.abs(coeffs).max()
+            np.testing.assert_allclose(batch.coeffs[i], coeffs, rtol=0, atol=1e-8 * scale)
+            np.testing.assert_allclose(batch.reflections[i], ks, rtol=0, atol=1e-8)
+
+    def test_min_lag_skips_only_the_lags_below_it(self):
+        x = self.f0_frames()
+        full = dsp.autocorrelation(x, 320)
+        r = dsp.autocorrelation(x, 320, min_lag=32)
+        assert np.all(np.isnan(r[:, 1:32]))
+        assert np.array_equal(r[:, 0], full[:, 0])
+        assert np.array_equal(r[:, 32:], full[:, 32:])

@@ -8,11 +8,18 @@ from rhythmkit.features import FeatureConfig, mel_filterbank, stft_magnitude
 from rhythmkit.rpm import RpmConfig
 from rhythmkit.synthesis import (
     GriffinLimConfig,
-    _spectral_distance,
     copy_synthesize,
     griffin_lim,
     mel_to_linear,
 )
+
+
+def _spectral_distance(mags: np.ndarray, target: np.ndarray) -> float:
+    """Frobenius distance between magnitude spectrograms, with interior rfft
+    bins double-weighted so the norm equals the full-spectrum one (the norm
+    in which both Griffin-Lim projection steps are optimal)."""
+    sq = (mags - target) ** 2
+    return float(np.sqrt(np.sum(sq[:, [0, -1]]) + 2.0 * np.sum(sq[:, 1:-1])))
 
 
 def griffin_lim_reference(target, spec, cfg):
