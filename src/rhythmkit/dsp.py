@@ -253,24 +253,25 @@ def levinson_durbin(r: np.ndarray, order: int) -> LpcModel:
     return rows.model(0)
 
 
-def inverse_filter_rows(frames: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def inverse_filter_rows(padded: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per-row prediction residual e[j, n] = x[j, n] + sum_k coeffs[j, k-1] x[j, n-k],
-    zero initial state, as one einsum over windows of the zero-padded rows."""
-    x = np.asarray(frames, dtype=np.float64)
+    as one einsum over windows of padded[j] = (order columns of history, x[j]).
+
+    The output drops the history columns; zero history is zero initial state."""
+    x = np.asarray(padded, dtype=np.float64)
     a = np.asarray(coeffs, dtype=np.float64)
     rows, order = a.shape
     if x.ndim != 2 or x.shape[0] != rows:
-        raise ValueError(f"{rows} coefficient rows do not match frames of shape {x.shape}")
-    padded = np.concatenate([np.zeros((rows, order)), x], axis=1)
-    windows = sliding_window_view(padded, order + 1, axis=1)  # [j, n, m] = x[j, n + m - order]
+        raise ValueError(f"{rows} coefficient rows do not match padded rows of shape {x.shape}")
+    windows = sliding_window_view(x, order + 1, axis=1)  # [j, n, m] = x[j, n + m - order]
     taps = np.concatenate([a[:, ::-1], np.ones((rows, 1))], axis=1)
     return np.einsum("jnm,jm->jn", windows, taps)
 
 
 def inverse_filter(x: np.ndarray, model: LpcModel) -> np.ndarray:
     """Prediction residual e[n] = x[n] + sum_k a[k] x[n-k], zero initial state."""
-    x = np.asarray(x, dtype=np.float64)
-    return inverse_filter_rows(x[None, :], model.coeffs[None, :])[0]
+    padded = np.concatenate([np.zeros(model.order), np.asarray(x, dtype=np.float64)])
+    return inverse_filter_rows(padded[None, :], model.coeffs[None, :])[0]
 
 
 def iir_filter(

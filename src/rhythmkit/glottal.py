@@ -4,7 +4,8 @@ Per frame, alternating low-order source and high-order vocal-tract LPC
 estimates strip the vocal tract and lip radiation from the speech signal
 (IAIF, Alku 1992); the residual source frames are hann-weighted and
 overlap-added into one utterance-level glottal flow.  Every stage runs as one
-array operation over a block of frames.
+array operation over a block of frames; as integration and inverse filtering
+commute, each block is integrated once, not once per integrating stage.
 """
 
 from __future__ import annotations
@@ -130,23 +131,29 @@ def _iaif_rows(
 ) -> tuple[np.ndarray, dsp.LpcRows, dsp.LpcRows, np.ndarray]:
     """IAIF on a (rows, win) stack of raw frames, every stage over all rows.
 
+    The block is zero-padded once with tract_order columns of history (which
+    stay exactly zero under the integrator) and integrated once: inverse
+    filter and leaky integrator are linear and time-invariant from zero
+    state, so they commute, and each stage slices the history it needs.
+
     Returns the glottal rows, the final vocal-tract and glottal-source
     models, and the mask of rows whose LPC went unstable at some stage; an
     unstable row's models are zeroed from that stage on, so its glottal row
     is finite but meaningless.
     """
-    d = cfg.lip_d
+    padded = np.pad(frames, ((0, 0), (tract_order, 0)))
+    integrated = dsp.leaky_integrate(padded, cfg.lip_d)
     tilt = _lpc_rows(frames, window, 1)
-    y1 = dsp.inverse_filter_rows(frames, tilt.coeffs)
+    y1 = dsp.inverse_filter_rows(padded[:, tract_order - 1 :], tilt.coeffs)
 
     vt1 = _lpc_rows(y1, window, tract_order)
-    g1 = dsp.leaky_integrate(dsp.inverse_filter_rows(frames, vt1.coeffs), d)
+    g1 = dsp.inverse_filter_rows(integrated, vt1.coeffs)
 
     source = _lpc_rows(g1, window, cfg.glottal_order)
-    y2 = dsp.leaky_integrate(dsp.inverse_filter_rows(frames, source.coeffs), d)
+    y2 = dsp.inverse_filter_rows(integrated[:, tract_order - cfg.glottal_order :], source.coeffs)
 
     vt2 = _lpc_rows(y2, window, tract_order)
-    glottal = dsp.leaky_integrate(dsp.inverse_filter_rows(frames, vt2.coeffs), d)
+    glottal = dsp.inverse_filter_rows(integrated, vt2.coeffs)
 
     unstable = tilt.unstable | vt1.unstable | source.unstable | vt2.unstable
     return glottal, vt2, source, unstable
@@ -156,12 +163,13 @@ def iaif_frame(frame: np.ndarray, cfg: IaifConfig, sample_rate: int) -> GlottalF
     """Estimate one frame's glottal source and the models that produced it.
 
     Stage sequence (models estimated on the windowed frame, filtering applied
-    to the raw frame):
+    to the raw frame, or to the raw frame integrated once, since inverse
+    filtering and integration commute):
       1. order-1 LPC on the input, inverse filter: coarse tilt removal
-      2. order-p LPC on (1), inverse filter input, integrate: first source estimate
-      3. order-g LPC on (2), inverse filter input, integrate: tilt-free signal
-      4. order-p LPC on (3) = final vocal tract; inverse filter input,
-         integrate: glottal flow
+      2. order-p LPC on (1), inverse filter integrated input: first source estimate
+      3. order-g LPC on (2), inverse filter integrated input: tilt-free signal
+      4. order-p LPC on (3) = final vocal tract; inverse filter integrated
+         input: glottal flow
 
     Raises UnstableFrameError when any LPC stage goes non-minimum-phase.
     """

@@ -386,13 +386,41 @@ class TestBatchedRows:
     def test_inverse_filter_rows(self, x, order, seed):
         rng = np.random.default_rng(seed)
         coeffs = rng.uniform(-2.0, 2.0, size=(x.shape[0], order))
-        e = dsp.inverse_filter_rows(x, coeffs)
+        e = dsp.inverse_filter_rows(np.pad(x, ((0, 0), (order, 0))), coeffs)
         assert e.shape == x.shape
         for i, row in enumerate(x):
             model = dsp.LpcModel(order=order, coeffs=coeffs[i], gain=1.0)
             scale = max(np.max(np.abs(row)), 1e-300) * (1.0 + np.sum(np.abs(coeffs[i])))
             _close(e[i], dsp.inverse_filter(row, model), scale)
             _close(e[i], lfilter(np.concatenate(([1.0], coeffs[i])), [1.0], row), scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frame_stacks(),
+        st.integers(0, 18),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_integration_commutes_with_inverse_filter(self, x, order, d, seed):
+        # IAIF integrates each block once and inverse-filters the integral,
+        # which rests on the two zero-state filters commuting.
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-2.0, 2.0, size=(x.shape[0], order))
+        padded = np.pad(x, ((0, 0), (order, 0)))
+        filter_first = dsp.leaky_integrate(dsp.inverse_filter_rows(padded, coeffs), d)
+        integrate_first = dsp.inverse_filter_rows(dsp.leaky_integrate(padded, d), coeffs)
+        for i, row in enumerate(x):
+            # |integral| <= max|row| / (1 - d), and each tap adds |a_k| of it.
+            gain = (1.0 + np.sum(np.abs(coeffs[i]))) / (1.0 - d)
+            scale = max(np.max(np.abs(row)), 1e-300) * gain
+            _close(integrate_first[i], filter_first[i], scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_stacks(), st.integers(0, 18), st.floats(0.01, 1.0))
+    def test_integration_keeps_zero_history_zero(self, x, pad, d):
+        y = dsp.leaky_integrate(np.pad(x, ((0, 0), (pad, 0))), d)
+        assert np.all(y[:, :pad] == 0.0)
+        assert np.array_equal(y[:, pad:], dsp.leaky_integrate(x, d))
 
 
 class TestDotPathAtProductionShapes:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import FS, two_formant_voice
-from rhythmkit import dsp
+from rhythmkit import dsp, glottal
 from rhythmkit.audio_io import AudioBuffer
 from rhythmkit.errors import TooShortError, UnstableFrameError
-from rhythmkit.glottal import IaifConfig, extract_glottal_flow, highpass, iaif_frame
+from rhythmkit.glottal import IaifConfig, _iaif_rows, extract_glottal_flow, highpass, iaif_frame
 
 
 def _band_fraction(power, freq_hz, fs, n_fft, half=3):
@@ -129,6 +129,37 @@ class TestExtractGlottalFlow:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             extract_glottal_flow(AudioBuffer(samples=np.zeros(100), sample_rate=FS))
+
+    def test_block_boundary_is_seamless(self, monkeypatch):
+        # One frame past a block: the second block is integrated and padded on
+        # its own, and its one frame must match the single-block run.
+        spec = IaifConfig().frame_spec(FS)
+        n = spec.win_length + glottal.IAIF_BLOCK_FRAMES * spec.hop_length
+        samples = two_formant_voice(seconds=2.0)[0].samples[:n]
+        voice = AudioBuffer(samples=samples, sample_rate=FS)
+        split = extract_glottal_flow(voice)
+        assert split.total_frames == glottal.IAIF_BLOCK_FRAMES + 1
+        monkeypatch.setattr(glottal, "IAIF_BLOCK_FRAMES", 10 * split.total_frames)
+        whole = extract_glottal_flow(voice)
+        np.testing.assert_allclose(split.flow.samples, whole.flow.samples, rtol=0, atol=1e-12)
+
+    def test_rows_do_not_leak_into_each_other(self):
+        # A silent row between voiced ones: each row of the shared padded,
+        # integrated block must come out as it does alone.
+        cfg = IaifConfig()
+        spec = cfg.frame_spec(FS)
+        voice, _ = two_formant_voice()
+        x = highpass(voice.samples, FS, cfg.highpass_cutoff)
+        frames = dsp.frame_signal(x, dsp.FrameSpec(spec.win_length, spec.hop_length, "rect"))
+        stack = np.stack([frames[20], np.zeros(spec.win_length), frames[80]])
+        args = (cfg, cfg.tract_order(FS), spec.window_array())
+        rows, _, _, unstable = _iaif_rows(stack, *args)
+        assert not unstable.any()
+        for row, got in zip(stack, rows):
+            solo = _iaif_rows(row[None, :], *args)[0][0]
+            scale = np.max(np.abs(solo))
+            np.testing.assert_allclose(got, solo, rtol=0, atol=1e-12 * scale)
+        assert np.all(rows[1] == 0.0)
 
     def test_formant_suppression_and_rhythm_survival(self):
         # Oracle: the synthetic construction fixes formants (700/1200 Hz) and
