@@ -95,9 +95,9 @@ class LpcRows:
     """Levinson solutions for a stack of autocorrelation rows.
 
     Silent rows (r[0] <= 0) carry the identity model.  A row whose recursion
-    reaches a reflection coefficient with |k| >= 1 is flagged in ``unstable``:
-    its coefficients and gain are zeroed (the identity model, so filters
-    built from it stay finite) and ``reflections`` keeps the offending k.
+    reaches a k with |k| >= 1 or NaN is flagged in ``unstable``: its model is
+    zeroed (the identity, so filters built from it stay finite), and
+    ``reflections`` keeps that first k and reads 0.0 after it.
     """
 
     coeffs: np.ndarray  # (rows, order)
@@ -204,32 +204,34 @@ def levinson_rows(r: np.ndarray, order: int) -> LpcRows:
     """Levinson-Durbin on every row of a (rows, >= order+1) autocorrelation stack.
 
     r[:, 0] is inflated by AUTOCORR_REG before the recursion, which runs over
-    the order with all rows at once.  See LpcRows for silent and unstable rows.
+    the order with all rows at once and no masks; stability is decided after
+    it (see LpcRows).  Past its first |k| >= 1 a row may overflow or divide by
+    zero; errstate silences that, as those values are discarded.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 2 or r.shape[1] < order + 1:
         raise LagTooLargeError(f"need {order + 1} autocorrelation lags per row, got shape {r.shape}")
-    rows = r.shape[0]
     err = r[:, 0] * (1.0 + AUTOCORR_REG)
-    live = err > 0.0
-    err = np.where(live, err, 1.0)
-    unstable = np.zeros(rows, dtype=bool)
-    a = np.zeros((rows, order))
-    ks = np.zeros((rows, order))
-    for i in range(1, order + 1):
-        head = a[:, : i - 1]
-        acc = r[:, i] + np.vecdot(head, r[:, i - 1 : 0 : -1])
-        k = np.where(live, -acc / err, 0.0)
-        ks[:, i - 1] = k
-        bad = live & ~(np.abs(k) < 1.0)
-        unstable |= bad
-        live &= ~bad
-        k[bad] = 0.0  # a flagged row stops updating
-        head += k[:, None] * head[:, ::-1]
-        a[:, i - 1] = k
-        err *= 1.0 - k * k
-    a[unstable] = 0.0
-    gain = np.where(live, np.sqrt(err), 0.0)
+    silent = ~(err > 0.0)
+    r = np.where(silent[:, None], 0.0, r)  # a silent row's k is then 0 and its err stays 1
+    err[silent] = 1.0
+    a = np.zeros((r.shape[0], order))
+    ks = np.empty((r.shape[0], order))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(1, order + 1):
+            head = a[:, : i - 1]
+            k = -(r[:, i] + np.vecdot(head, r[:, i - 1 : 0 : -1])) / err
+            ks[:, i - 1] = k
+            head += k[:, None] * head[:, ::-1]
+            a[:, i - 1] = k
+            err *= 1.0 - k * k
+    bad = ~(np.abs(ks) < 1.0)
+    unstable = bad.any(axis=1)
+    ks[:, 1:][np.logical_or.accumulate(bad[:, :-1], axis=1)] = 0.0
+    ks[silent] = 0.0  # +0.0, where the recursion left -0.0
+    dead = silent | unstable
+    a[dead] = 0.0
+    gain = np.sqrt(np.where(dead, 0.0, err))
     return LpcRows(coeffs=a, reflections=ks, gain=gain, unstable=unstable)
 
 
@@ -257,12 +259,16 @@ def inverse_filter_rows(padded: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per-row prediction residual e[j, n] = x[j, n] + sum_k coeffs[j, k-1] x[j, n-k],
     as one einsum over windows of padded[j] = (order columns of history, x[j]).
 
+    One coefficient takes the two-term form x + a * (x delayed), the same sum:
+    einsum's per-output overhead would cost as much as a 19-tap filter.
     The output drops the history columns; zero history is zero initial state."""
     x = np.asarray(padded, dtype=np.float64)
     a = np.asarray(coeffs, dtype=np.float64)
     rows, order = a.shape
     if x.ndim != 2 or x.shape[0] != rows:
         raise ValueError(f"{rows} coefficient rows do not match padded rows of shape {x.shape}")
+    if order == 1:
+        return x[:, 1:] + a * x[:, :-1]
     windows = sliding_window_view(x, order + 1, axis=1)  # [j, n, m] = x[j, n + m - order]
     taps = np.concatenate([a[:, ::-1], np.ones((rows, 1))], axis=1)
     return np.einsum("jnm,jm->jn", windows, taps)

@@ -147,12 +147,15 @@ def _iaif_rows(
     y1 = dsp.inverse_filter_rows(padded[:, tract_order - 1 :], tilt.coeffs)
 
     vt1 = _lpc_rows(y1, window, tract_order)
+    del y1
     g1 = dsp.inverse_filter_rows(integrated, vt1.coeffs)
 
     source = _lpc_rows(g1, window, cfg.glottal_order)
+    del g1
     y2 = dsp.inverse_filter_rows(integrated[:, tract_order - cfg.glottal_order :], source.coeffs)
 
     vt2 = _lpc_rows(y2, window, tract_order)
+    del y2
     glottal = dsp.inverse_filter_rows(integrated, vt2.coeffs)
 
     unstable = tilt.unstable | vt1.unstable | source.unstable | vt2.unstable

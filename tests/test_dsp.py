@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from conftest import random_stable_model, separated_stable_model, two_formant_voice
@@ -381,6 +384,66 @@ class TestBatchedRows:
             np.testing.assert_allclose(batch.coeffs[i], ref[0], rtol=1e-7, atol=1e-9)
             np.testing.assert_allclose(batch.reflections[i], ref[1], rtol=1e-7, atol=1e-9)
 
+    @staticmethod
+    def _lags(ks, tail):
+        """Lags whose recursion meets the reflections ks in turn (the step-up
+        recursion, err as levinson_rows keeps it), then the lags in tail."""
+        err = 1.0 + dsp.AUTOCORR_REG
+        r, a = [1.0], np.zeros(0)
+        for k in ks:
+            r.append(-k * err - np.dot(a, r[:0:-1]))
+            a = np.append(a + k * a[::-1], k)
+            err *= 1.0 - k * k
+        return np.array(r + list(tail))
+
+    @pytest.mark.parametrize("order", [1, 8, 18])
+    def test_levinson_rows_on_adversarial_stacks(self, order):
+        # |k| = 1 exactly (err reaches 0, then 0/0 and x/0), |k| > 1 and a k
+        # whose square overflows, each at the first, middle and last order
+        # step, beside stable and silent rows; exact k = +-1 needs the steps
+        # before it to be k = 0.
+        rng = np.random.default_rng(order)
+        steps = sorted({1, (order + 1) // 2, order})
+        stable = [self._lags(rng.uniform(-0.9, 0.9, order), []) for _ in range(2)]
+        silent = [np.r_[0.0, rng.uniform(-1, 1, order)], np.r_[-0.5, rng.uniform(-1, 1, order)]]
+        cases = []  # (lags, step of the first bad k, that k or None where inexact)
+        for m in steps:
+            tail = rng.uniform(-1.0, 1.0, order - m)
+            for k in (1.0, -1.0):
+                cases.append((self._lags([0.0] * (m - 1) + [k], tail), m, k))
+            for k in (1.5, -3.0, 1e200):
+                cases.append((self._lags(list(rng.uniform(-0.9, 0.9, m - 1)) + [k], tail), m, None))
+        nan_lag = np.r_[1.0, np.zeros(order)]
+        nan_lag[steps[-1]] = np.nan
+        cases.append((nan_lag, steps[-1], np.nan))
+        r = np.array(stable[:1] + silent[:1] + [c[0] for c in cases] + silent[1:] + stable[1:])
+        with np.errstate(over="warn", divide="warn", invalid="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = dsp.levinson_rows(r, order)
+
+        for i in (0, len(r) - 1):
+            model = dsp.levinson_durbin(r[i], order)
+            assert not batch.unstable[i]
+            assert np.array_equal(batch.coeffs[i], model.coeffs)
+            assert np.array_equal(batch.reflections[i], model.reflections)
+            assert batch.gain[i] == model.gain
+        for i in (1, len(r) - 2):
+            assert not batch.unstable[i] and batch.gain[i] == 0.0
+            for field in (batch.coeffs[i], batch.reflections[i]):
+                assert np.all(field == 0.0) and not np.signbit(field).any()
+        for i, (_, m, k) in enumerate(cases, start=2):
+            assert batch.unstable[i]
+            assert np.all(batch.coeffs[i] == 0.0) and batch.gain[i] == 0.0
+            ks = batch.reflections[i]
+            if m > 1:  # the steps before the first bad k are a stable model
+                prefix = dsp.levinson_durbin(r[i, :m], m - 1).reflections
+                assert np.array_equal(ks[: m - 1], prefix)
+            if k is None:
+                assert not abs(ks[m - 1]) < 1.0
+            else:
+                assert np.array_equal(ks[m - 1], k, equal_nan=True)
+            assert np.all(ks[m:] == 0.0) and not np.signbit(ks[m:]).any()
+
     @settings(max_examples=60, deadline=None)
     @given(frame_stacks(), st.integers(0, 12), st.integers(0, 2**32 - 1))
     def test_inverse_filter_rows(self, x, order, seed):
@@ -393,6 +456,17 @@ class TestBatchedRows:
             scale = max(np.max(np.abs(row)), 1e-300) * (1.0 + np.sum(np.abs(coeffs[i])))
             _close(e[i], dsp.inverse_filter(row, model), scale)
             _close(e[i], lfilter(np.concatenate(([1.0], coeffs[i])), [1.0], row), scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_stacks(), st.integers(1, 18), st.integers(0, 2**32 - 1))
+    def test_one_coefficient_matches_einsum_bitwise(self, x, history, seed):
+        # IAIF's tilt stage filters a strided column slice of a block padded
+        # for the vocal tract; its two-term form must be the einsum's sum.
+        coeffs = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(x.shape[0], 1))
+        padded = np.pad(x, ((0, 0), (history, 0)))[:, history - 1 :]
+        taps = np.concatenate([coeffs, np.ones_like(coeffs)], axis=1)
+        einsum = np.einsum("jnm,jm->jn", sliding_window_view(padded, 2, axis=1), taps)
+        assert np.array_equal(dsp.inverse_filter_rows(padded, coeffs), einsum)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,0 +1,82 @@
+"""The rhythm-only contract on rendered audio.
+
+RPM spoofs must differ from plain copy-synthesis in rhythm, not in pitch or
+timbre.  On the conftest signals, the RPM rendering's mel, mapped back through
+its segment plan onto the copy-synthesis timeline, must match the COPY
+rendering's mel, and its median voiced F0 must equal COPY's.  Waveform speed
+perturbation is the contrast: resampled onto COPY's frame count, its mel lies
+beyond the same bound, and it moves F0 by 1/factor.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import am_harmonic_signal, two_formant_voice
+from rhythmkit import dsp
+from rhythmkit.features import FeatureConfig, estimate_f0, mel_spectrogram
+from rhythmkit.rpm import RpmConfig, speed_perturb
+from rhythmkit.synthesis import GriffinLimConfig, copy_synthesize
+
+CFG = FeatureConfig()
+# Mel bins more than this far below each mel's peak count as silence: the
+# renderings' noise floors differ there and say nothing about timbre.
+TOP_DB = 60.0
+# Gain-removed RMS mel distance (dB).  Measured on these signals at RPM seeds
+# 0-7 with 60 Griffin-Lim iterations: RPM 0.89-1.76 dB, speed 1.2 5.92-7.97.
+MEL_BOUND_DB = 3.0
+SPEED = 1.2
+
+
+def _mel_db(audio):
+    mel = 10.0 / np.log(10.0) * mel_spectrogram(audio, CFG)
+    return np.maximum(mel - mel.max(), -TOP_DB)
+
+
+def _mel_distance_db(a, b):
+    d = a - b
+    d -= d.mean()  # gain removed: peak normalization sets each rendering's level
+    return float(np.sqrt(np.mean(d * d)))
+
+
+def _median_f0(audio):
+    f0 = estimate_f0(audio, CFG)
+    return float(np.median(f0[f0 > 0.0]))
+
+
+def _onto_plan_input(mel, plan):
+    """Resample each segment's output frames back to the segment's input length."""
+    blocks, pos = [], 0
+    for seg in plan.segments:
+        out = dsp.resampled_length(seg.length, seg.factor)
+        blocks.append(dsp.linear_resample(mel[pos : pos + out], seg.length / out))
+        pos += out
+    assert pos == len(mel)
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize(
+    "audio",
+    [two_formant_voice(seconds=3.0)[0], am_harmonic_signal(seconds=3.0)],
+    ids=["voice", "am"],
+)
+def test_rpm_changes_rhythm_only(audio):
+    gl = GriffinLimConfig()
+    copy = copy_synthesize(audio, CFG, None, gl, "utt").audio
+    copy_mel = _mel_db(copy)
+    copy_f0 = _median_f0(copy)
+
+    for seed in (0, 7):
+        rpm = copy_synthesize(audio, CFG, RpmConfig(seed=seed), gl, "utt")
+        rpm_mel = _mel_db(rpm.audio)
+        assert len(rpm_mel) == rpm.plan.output_frames()
+        back = _onto_plan_input(rpm_mel, rpm.plan)
+        assert back.shape == copy_mel.shape
+        assert _mel_distance_db(back, copy_mel) < MEL_BOUND_DB, f"seed {seed}"
+        assert _median_f0(rpm.audio) == pytest.approx(copy_f0, rel=0.01), f"seed {seed}"
+
+    sped = speed_perturb(copy, SPEED)
+    sped_mel = _mel_db(sped)
+    onto_copy = dsp.linear_resample(sped_mel, len(copy_mel) / len(sped_mel))
+    assert onto_copy.shape == copy_mel.shape
+    assert _mel_distance_db(onto_copy, copy_mel) > MEL_BOUND_DB
+    assert _median_f0(sped) / copy_f0 == pytest.approx(1.0 / SPEED, rel=0.02)
