@@ -16,7 +16,6 @@ from .evaluation import (
     EerBreakdown,
     EerResult,
     ScoreSet,
-    compute_eer,
     eer_breakdown,
     read_scores,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "SegmentPlan",
     "SplitMix64",
     "apply_plan",
-    "compute_eer",
     "copy_synthesize",
     "eer_breakdown",
     "extract_features",

@@ -136,11 +136,6 @@ def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return frames
 
 
-def stft(x: np.ndarray, spec: FrameSpec, n_fft: int) -> np.ndarray:
-    """Complex spectra of frame_signal's frames, shape (n_frames, n_fft//2 + 1)."""
-    return np.fft.rfft(frame_signal(x, spec), n=n_fft, axis=1)
-
-
 def ola_accumulate(out: np.ndarray, frames: np.ndarray, hop: int) -> None:
     """Add frame i into ``out`` at sample i * hop, in place (slice ``out`` to offset).
 

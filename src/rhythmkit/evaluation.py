@@ -45,18 +45,6 @@ class ScoreSet:
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")
 
-    def bonafide_scores(self) -> np.ndarray:
-        return self.scores[self.bonafide]
-
-    def spoof_scores(self, attacks: set[str] | None = None) -> np.ndarray:
-        spoof = ~self.bonafide
-        if attacks is not None:
-            spoof &= np.isin(self.attack, sorted(attacks))
-        return self.scores[spoof]
-
-    def attacks(self) -> list[str]:
-        return sorted(set(self.attack[~self.bonafide]))
-
 
 @dataclass(frozen=True)
 class EerResult:
@@ -128,10 +116,6 @@ def eer_from_scores(bonafide: np.ndarray, spoof: np.ndarray) -> EerResult:
     return EerResult(eer=float((eer_far + eer_frr) / 2.0), threshold=float(threshold))
 
 
-def compute_eer(scores: ScoreSet) -> EerResult:
-    return eer_from_scores(scores.bonafide_scores(), scores.spoof_scores())
-
-
 def eer_breakdown(scores: ScoreSet, attack_groups: dict[str, str] | None = None) -> EerBreakdown:
     """Pooled total, per-group (TTS/VC) and per-attack EER.
 
@@ -139,14 +123,14 @@ def eer_breakdown(scores: ScoreSet, attack_groups: dict[str, str] | None = None)
     An attack label missing from the mapping raises UnknownAttackError.
     """
     groups = DEFAULT_ATTACK_GROUPS if attack_groups is None else attack_groups
-    bona = scores.bonafide_scores()
-    attacks = scores.attacks()
+    spoof_mask = ~scores.bonafide
+    bona = scores.scores[scores.bonafide]
+    attacks = sorted(set(scores.attack[spoof_mask]))
     unknown = [a for a in attacks if a not in groups]
     if unknown:
         raise UnknownAttackError(f"attacks with no TTS/VC mapping: {unknown}")
-    # Code each spoof trial's label once: pools are then integer compares, not np.isin over objects.
-    spoof_mask = ~scores.bonafide
     spoof = scores.scores[spoof_mask]
+    # Code each spoof trial's label once: pools are then integer compares, not np.isin over objects.
     code = {a: i for i, a in enumerate(attacks)}
     codes = np.fromiter(map(code.__getitem__, scores.attack[spoof_mask]), np.intp, len(spoof))
     per_attack = {a: eer_from_scores(bona, spoof[codes == i]) for i, a in enumerate(attacks)}

@@ -65,7 +65,7 @@ class FeatureConfig:
 
 def stft_magnitude(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     """Magnitude spectrogram, shape (n_frames, n_fft//2 + 1)."""
-    return np.abs(dsp.stft(audio.samples, cfg.frame, cfg.n_fft))
+    return np.abs(np.fft.rfft(dsp.frame_signal(audio.samples, cfg.frame), n=cfg.n_fft, axis=1))
 
 
 def mel_filterbank(cfg: FeatureConfig, sample_rate: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from rhythmkit.errors import (
 from rhythmkit.evaluation import (
     DEFAULT_ATTACK_GROUPS,
     ScoreSet,
-    compute_eer,
     eer_breakdown,
     eer_from_scores,
     format_report,
@@ -93,7 +92,7 @@ class TestReadScores:
         scores = read_scores(path)
         assert len(scores.scores) == 2
         with pytest.raises(InsufficientClassesError):
-            compute_eer(scores)
+            eer_breakdown(scores)
 
 
 class TestScoreSet:
@@ -111,35 +110,35 @@ class TestScoreSet:
         scores = ScoreSet(
             [0.5, 1.0, 2.0, 3.0], [False, True, False, False], ["A17", "-", "A07", "A17"]
         )
-        assert scores.bonafide_scores().tolist() == [1.0]
-        assert scores.spoof_scores().tolist() == [0.5, 2.0, 3.0]
-        assert scores.spoof_scores({"A17"}).tolist() == [0.5, 3.0]
-        assert scores.attacks() == ["A07", "A17"]
+        down = eer_breakdown(scores)
+        assert list(down.per_attack) == ["A07", "A17"]
+        assert down.total == eer_from_scores([1.0], [0.5, 2.0, 3.0])
+        assert down.per_attack["A17"] == eer_from_scores([1.0], [0.5, 3.0])
         assert scores == scores and scores != make_set([1.0], [0.0])  # no elementwise ==
 
     def test_long_label_does_not_widen_attack_column(self):
         labels = ["-"] * 1000 + ["A" * 10_000]
         scores = ScoreSet(np.zeros(1001), [True] * 1000 + [False], labels)
-        assert scores.attacks() == ["A" * 10_000]
+        assert list(eer_breakdown(scores, {"A" * 10_000: "TTS"}).per_attack) == ["A" * 10_000]
         assert scores.attack.nbytes <= 8 * 1001  # one reference per trial
 
 
 class TestComputeEer:
     def test_perfectly_separated(self):
-        res = compute_eer(make_set([1.0, 2.0, 3.0], [-1.0, -2.0, 0.0]))
+        res = eer_from_scores([1.0, 2.0, 3.0], [-1.0, -2.0, 0.0])
         assert res.eer == 0.0
 
     def test_perfectly_inverted(self):
-        res = compute_eer(make_set([-1.0, -2.0], [1.0, 2.0]))
+        res = eer_from_scores([-1.0, -2.0], [1.0, 2.0])
         assert res.eer == 1.0
 
     def test_hand_worked_case(self):
         # bona {1, 0}, spoof {0}: step functions cross a third of the way.
-        res = compute_eer(make_set([1.0, 0.0], [0.0]))
+        res = eer_from_scores([1.0, 0.0], [0.0])
         assert res.eer == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_all_ties_give_half(self):
-        res = compute_eer(make_set([0.5, 0.5], [0.5, 0.5]))
+        res = eer_from_scores([0.5, 0.5], [0.5, 0.5])
         assert res.eer == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_bruteforce_oracle_small(self):

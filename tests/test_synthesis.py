@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import FS, am_harmonic_signal, sine
+from conftest import FS, am_harmonic_signal, sine, two_formant_voice
 from rhythmkit import dsp
 from rhythmkit.errors import ShapeMismatchError
 from rhythmkit.features import FeatureConfig, mel_filterbank, stft_magnitude
@@ -191,3 +191,25 @@ class TestCopySynthesize:
             am_harmonic_signal(seed=5), cfg, RpmConfig(seed=1), GriffinLimConfig(n_iters=1), "u9"
         )
         assert res.features.f0.shape == (res.features.n_frames,)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: Griffin-Lim's inverse STFT blows up the first and last "
+        "hop, and peak normalization then scales the body by that edge spike",
+    )
+    @pytest.mark.parametrize("rpm", [None, RpmConfig(seed=7)], ids=["copy", "rpm"])
+    @pytest.mark.parametrize(
+        "audio",
+        [two_formant_voice(seconds=3.0)[0], am_harmonic_signal(seconds=3.0)],
+        ids=["voice", "am"],
+    )
+    def test_level_sits_in_the_body_not_at_the_edges(self, audio, rpm):
+        cfg = FeatureConfig()
+        out = copy_synthesize(audio, cfg, rpm, GriffinLimConfig(), "u0").audio.samples
+        hop, win = cfg.frame.hop_length, cfg.frame.win_length
+        assert hop <= int(np.argmax(np.abs(out))) < len(out) - hop
+        # The body is everything past the partly covered first and last window.
+        x = audio.samples * (dsp.OUTPUT_PEAK / np.max(np.abs(audio.samples)))
+        gain_db = 10.0 * np.log10(np.mean(out[win:-win] ** 2) / np.mean(x[win:-win] ** 2))
+        assert abs(gain_db) <= 6.0
