@@ -6,12 +6,14 @@ Samples are held as float64 internally regardless of file encoding.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import uuid
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -38,6 +40,9 @@ RFB_HEADER = struct.Struct("<4sIIIdII")  # magic, version, frames, mels, rate, h
 
 MANIFEST_KEYS = ("bonafide", "spoof")
 BONAFIDE_ATTACK = "-"
+
+# check_row(lineno, fields) of read_tsv: raises the caller's error for a bad row.
+RowCheck = Callable[[int, Sequence[str]], object]
 
 
 @dataclass(frozen=True)
@@ -221,12 +226,17 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
     write_file(path, b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
-def read_tsv(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) per non-blank line of a UTF-8 TSV file; a
-    leading byte-order mark is dropped.
+def read_tsv(
+    path: str | Path, n_fields: int, what: str, check_row: RowCheck
+) -> tuple[list[int], list[list[str]]]:
+    """Return the line numbers and the n_fields string columns of the non-blank
+    lines of a UTF-8 TSV file; a leading byte-order mark is dropped.
 
     Each line needs n_fields tab-separated fields and a first field no earlier
-    line used; ``what`` names the file kind in errors."""
+    line used; ``what`` names the file kind in errors. ``check_row(lineno,
+    fields)`` raises the caller's error for a bad row. It runs only once a
+    check here has failed, line by line, so the first bad line in file order
+    names the error (see raise_first_bad_row)."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such {what}: {path}")
@@ -234,11 +244,35 @@ def read_tsv(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, 
         lines = path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {what} is not UTF-8 text: {exc}") from exc
+    linenos = list(range(1, len(lines) + 1))
+    if not all(lines) or any(map(str.isspace, lines)):  # drop blank lines
+        linenos = [lineno for lineno, line in zip(linenos, lines) if line.strip()]
+        lines = [lines[lineno - 1] for lineno in linenos]
+    if list(map(str.count, lines, repeat("\t"))).count(n_fields - 1) != len(lines):
+        rows = (line.split("\t") for line in lines)
+        raise_first_bad_row(path, n_fields, zip(linenos, rows), check_row)
+    joined = "\t".join(lines)
+    del lines  # the lines go before the fields come, which keeps peak memory down
+    # "".split("\t") is [""], so an empty file needs its own case.
+    fields = joined.split("\t") if linenos else []
+    del joined
+    columns = [fields[k::n_fields] for k in range(n_fields)]
+    del fields
+    if len(set(columns[0])) != len(linenos):
+        raise_first_bad_row(path, n_fields, zip(linenos, zip(*columns)), check_row)
+    return linenos, columns
+
+
+def raise_first_bad_row(
+    path: str | Path, n_fields: int, rows: Iterable[tuple[int, Sequence[str]]], check_row: RowCheck
+) -> NoReturn:
+    """Check (line number, fields) rows in file order, as read_tsv's callers
+    did one line at a time, and raise the first bad row's error: a wrong field
+    count, then a repeated first field, then whatever check_row raises.
+
+    Called only once a whole-column check has failed, so some row must fail."""
     seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
+    for lineno, fields in rows:
         if len(fields) != n_fields:
             raise ParseError(
                 f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
@@ -246,18 +280,22 @@ def read_tsv(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, 
         if fields[0] in seen:
             raise DuplicateIdError(f"{path}:{lineno}: duplicate id {fields[0]!r}")
         seen.add(fields[0])
-        yield lineno, fields
+        check_row(lineno, fields)
+    raise AssertionError(f"{path}: a column check failed but every row passed")
+
+
+def _manifest_entry(path: str | Path, lineno: int, fields: Sequence[str]) -> ManifestEntry:
+    try:
+        return ManifestEntry(*fields)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Parse a TSV manifest: utt_id, path, key, attack; one entry per line."""
-    entries: list[ManifestEntry] = []
-    for lineno, fields in read_tsv(path, 4, "manifest"):
-        try:
-            entries.append(ManifestEntry(*fields))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return entries
+    check = functools.partial(_manifest_entry, path)
+    linenos, columns = read_tsv(path, 4, "manifest", check)
+    return list(map(check, linenos, zip(*columns)))
 
 
 def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:

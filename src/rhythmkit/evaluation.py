@@ -8,14 +8,16 @@ linearly interpolated crossing of those two step functions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .audio_io import MANIFEST_KEYS, read_tsv
+from .audio_io import MANIFEST_KEYS, raise_first_bad_row, read_tsv
 from .errors import InsufficientClassesError, ParseError, UnknownAttackError
 
 # ASVspoof 2019 LA evaluation protocol: A07-A16 synthesize from text,
@@ -60,24 +62,30 @@ class EerBreakdown:
     per_attack: dict[str, EerResult] = field(default_factory=dict)
 
 
+def _check_score_row(path: str | Path, lineno: int, fields: Sequence[str]) -> None:
+    _, key, _, score_text = fields
+    try:
+        score = float(score_text)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    if key not in MANIFEST_KEYS:
+        raise ParseError(f"{path}:{lineno}: key must be one of {MANIFEST_KEYS}, got {key!r}")
+    if not math.isfinite(score):
+        raise ParseError(f"{path}:{lineno}: score must be finite, got {score_text!r}")
+
+
 def read_scores(path: str | Path) -> ScoreSet:
     """Parse a score TSV: utt_id, key, attack, score; one trial per line."""
-    scores: list[float] = []
-    bonafide: list[bool] = []
-    attack: list[str] = []
-    for lineno, (_, key, label, score_text) in read_tsv(path, 4, "score file"):
-        try:
-            score = float(score_text)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if key not in MANIFEST_KEYS:
-            raise ParseError(f"{path}:{lineno}: key must be one of {MANIFEST_KEYS}, got {key!r}")
-        if not math.isfinite(score):
-            raise ParseError(f"{path}:{lineno}: score must be finite, got {score_text!r}")
-        scores.append(score)
-        bonafide.append(key == "bonafide")
-        attack.append(label)
-    return ScoreSet(scores, bonafide, attack)
+    check = functools.partial(_check_score_row, path)
+    linenos, columns = read_tsv(path, 4, "score file", check)
+    _, keys, attack, score_texts = columns
+    try:
+        scores = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
+    except ValueError:
+        scores = None
+    if scores is None or not set(keys) <= set(MANIFEST_KEYS) or not np.isfinite(scores).all():
+        raise_first_bad_row(path, 4, zip(linenos, zip(*columns)), check)
+    return ScoreSet(scores, np.array(keys, dtype=object) == "bonafide", attack)
 
 
 def _sorted_scores(name: str, values: np.ndarray) -> np.ndarray:
@@ -97,11 +105,19 @@ def eer_from_scores(bonafide: np.ndarray, spoof: np.ndarray) -> EerResult:
         raise InsufficientClassesError(
             f"need at least one bonafide and one spoof trial, got {len(bona)}/{len(spoof)}"
         )
-    thresholds = np.unique(np.concatenate([bona, spoof]))
+    # The two sorted runs laid end to end: a stable argsort merges them in
+    # linear time. At the first occurrence of each distinct score t, the
+    # trials before it are exactly those scoring below t.
+    both = np.concatenate([bona, spoof])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    first = np.flatnonzero(np.concatenate([[True], merged[1:] != merged[:-1]]))
+    bona_below = np.concatenate([[0], np.cumsum(order < len(bona))])
     # Sentinel above every score: FAR 0, FRR 1, so a crossing always exists.
-    thresholds = np.append(thresholds, np.nextafter(thresholds[-1], np.inf))
-    frr = np.searchsorted(bona, thresholds, side="left") / len(bona)
-    far = (len(spoof) - np.searchsorted(spoof, thresholds, side="left")) / len(spoof)
+    thresholds = np.append(merged[first], np.nextafter(merged[-1], np.inf))
+    at = np.append(first, len(merged))
+    frr = bona_below[at] / len(bona)
+    far = (len(spoof) - (at - bona_below[at])) / len(spoof)
     diff = far - frr  # non-increasing, starts at +1, ends at -1
     idx = int(np.argmax(diff <= 0.0))
     if diff[idx] == 0.0:
@@ -125,14 +141,15 @@ def eer_breakdown(scores: ScoreSet, attack_groups: dict[str, str] | None = None)
     groups = DEFAULT_ATTACK_GROUPS if attack_groups is None else attack_groups
     spoof_mask = ~scores.bonafide
     bona = scores.scores[scores.bonafide]
-    attacks = sorted(set(scores.attack[spoof_mask]))
+    spoof_attack = scores.attack[spoof_mask]
+    attacks = sorted(set(spoof_attack))
     unknown = [a for a in attacks if a not in groups]
     if unknown:
         raise UnknownAttackError(f"attacks with no TTS/VC mapping: {unknown}")
     spoof = scores.scores[spoof_mask]
     # Code each spoof trial's label once: pools are then integer compares, not np.isin over objects.
     code = {a: i for i, a in enumerate(attacks)}
-    codes = np.fromiter(map(code.__getitem__, scores.attack[spoof_mask]), np.intp, len(spoof))
+    codes = np.fromiter(map(code.__getitem__, spoof_attack), np.intp, len(spoof))
     per_attack = {a: eer_from_scores(bona, spoof[codes == i]) for i, a in enumerate(attacks)}
     result: dict[str, EerResult | None] = {}
     for group in ("TTS", "VC"):
@@ -147,14 +164,18 @@ def eer_breakdown(scores: ScoreSet, attack_groups: dict[str, str] | None = None)
     )
 
 
+def _check_group_row(path: str | Path, lineno: int, fields: Sequence[str]) -> None:
+    if fields[1] not in ("TTS", "VC"):
+        raise ParseError(f"{path}:{lineno}: expected '<attack>\\tTTS|VC'")
+
+
 def load_attack_groups(path: str | Path) -> dict[str, str]:
     """Read an attack -> {TTS, VC} mapping file (TSV, one pair per line)."""
-    groups: dict[str, str] = {}
-    for lineno, (attack, group) in read_tsv(path, 2, "mapping file"):
-        if group not in ("TTS", "VC"):
-            raise ParseError(f"{path}:{lineno}: expected '<attack>\\tTTS|VC'")
-        groups[attack] = group
-    return groups
+    check = functools.partial(_check_group_row, path)
+    linenos, (attacks, groups) = read_tsv(path, 2, "mapping file", check)
+    if not set(groups) <= {"TTS", "VC"}:
+        raise_first_bad_row(path, 2, zip(linenos, zip(attacks, groups)), check)
+    return dict(zip(attacks, groups))
 
 
 def _pct(result: EerResult | None) -> str:

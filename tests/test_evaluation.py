@@ -1,9 +1,13 @@
+import importlib.util
 import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rhythmkit import evaluation
 from rhythmkit.errors import (
     DuplicateIdError,
     InsufficientClassesError,
@@ -45,6 +49,27 @@ def eer_oracle(bona, spoof):
             ) / 2.0
         prev_far, prev_frr = far, frr
     raise AssertionError("no crossing found")
+
+
+def eer_searchsorted_reference(bona, spoof):
+    """eer_from_scores as it was before the merge: thresholds from np.unique,
+    counts from two binary searches. Returns (eer, threshold)."""
+    bona = np.sort(np.asarray(bona, dtype=np.float64))
+    spoof = np.sort(np.asarray(spoof, dtype=np.float64))
+    thresholds = np.unique(np.concatenate([bona, spoof]))
+    thresholds = np.append(thresholds, np.nextafter(thresholds[-1], np.inf))
+    frr = np.searchsorted(bona, thresholds, side="left") / len(bona)
+    far = (len(spoof) - np.searchsorted(spoof, thresholds, side="left")) / len(spoof)
+    diff = far - frr
+    idx = int(np.argmax(diff <= 0.0))
+    if diff[idx] == 0.0:
+        return float((far[idx] + frr[idx]) / 2.0), float(thresholds[idx])
+    prev = idx - 1
+    alpha = diff[prev] / (diff[prev] - diff[idx])
+    eer_far = far[prev] + alpha * (far[idx] - far[prev])
+    eer_frr = frr[prev] + alpha * (frr[idx] - frr[prev])
+    threshold = thresholds[prev] + alpha * (thresholds[idx] - thresholds[prev])
+    return float((eer_far + eer_frr) / 2.0), float(threshold)
 
 
 def make_set(bona, spoof, attack="A07"):
@@ -196,6 +221,52 @@ class TestComputeEer:
         far = np.mean(spoof >= res.threshold)
         assert abs(far - frr) <= max(1.0 / len(bona), 1.0 / len(spoof)) + 1e-12
         assert 0.0 <= res.eer <= 1.0
+
+
+def _assert_same_as_reference(bona, spoof):
+    got = eer_from_scores(bona, spoof)
+    eer, threshold = eer_searchsorted_reference(bona, spoof)
+    assert struct.pack("<d", got.eer) == struct.pack("<d", eer), (bona, spoof)
+    # == on purpose: at a tie of -0.0 and 0.0 either zero may name the threshold.
+    assert got.threshold == threshold, (bona, spoof)
+
+
+class TestEerBitIdentity:
+    """The merged counts give the reference's EER bit for bit (the brute-force
+    oracle above only checks to 1e-9)."""
+
+    def test_tied_and_degenerate_pools(self):
+        rng = np.random.default_rng(16)
+        for trial in range(3000):
+            n_b, n_s = (int(n) for n in rng.integers(1, 40, 2))
+            if trial % 5 == 0:
+                n_b = 1
+            elif trial % 5 == 1:
+                n_s = 1
+            # Few distinct values, so most scores tie; zeros carry either sign.
+            levels = rng.integers(-3, 4, n_b + n_s) * 0.5
+            levels[(levels == 0.0) & (rng.random(n_b + n_s) < 0.5)] = -0.0
+            if trial % 7 == 0:
+                levels[:] = levels[0]
+            _assert_same_as_reference(levels[:n_b], levels[n_b:])
+
+    def test_benchmark_sized_pools(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        scores = read_scores(corpus.make_scores(tmp_path, seed=1)["scores"])
+        pools = []
+
+        def record(bona, spoof):
+            pools.append((bona, spoof))
+            return eer_from_scores(bona, spoof)
+
+        monkeypatch.setattr(evaluation, "eer_from_scores", record)
+        evaluation.eer_breakdown(scores)
+        assert len(pools) == 16
+        for bona, spoof in pools:
+            _assert_same_as_reference(bona, spoof)
 
 
 class TestBreakdown:
