@@ -6,14 +6,13 @@ Samples are held as float64 internally regardless of file encoding.
 
 from __future__ import annotations
 
-import functools
 import os
 import struct
 import uuid
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -41,8 +40,7 @@ RFB_HEADER = struct.Struct("<4sIIIdII")  # magic, version, frames, mels, rate, h
 MANIFEST_KEYS = ("bonafide", "spoof")
 BONAFIDE_ATTACK = "-"
 
-# check_row(lineno, fields) of read_tsv: raises the caller's error for a bad row.
-RowCheck = Callable[[int, Sequence[str]], object]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ class ManifestEntry:
 
     def __post_init__(self) -> None:
         # Ids name output files inside --out, so they must be plain file names.
-        if self.utt_id in ("", ".", "..") or "/" in self.utt_id or "\\" in self.utt_id:
+        if self.utt_id in ("", ".", "..") or any(c in self.utt_id for c in "/\\\0"):
             raise ValueError(f"utt_id {self.utt_id!r} is not a plain file name")
         if self.key not in MANIFEST_KEYS:
             raise ValueError(f"key must be one of {MANIFEST_KEYS}, got {self.key!r}")
@@ -195,7 +193,10 @@ def read_wav_encoded(path: str | Path) -> tuple[AudioBuffer, str]:
     if n == 0:
         raise EmptyAudioError(f"{path}: data chunk holds no samples")
     samples = np.frombuffer(data, dtype=dtype, count=n).astype(np.float64) / full_scale
-    return AudioBuffer(samples=samples, sample_rate=sample_rate), names[0]
+    try:
+        return AudioBuffer(samples=samples, sample_rate=sample_rate), names[0]
+    except ValueError as exc:  # a float32 file holding NaN or Inf
+        raise UnsupportedFormatError(f"{path}: {exc}") from exc
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
@@ -227,75 +228,63 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
 
 
 def read_tsv(
-    path: str | Path, n_fields: int, what: str, check_row: RowCheck
-) -> tuple[list[int], list[list[str]]]:
-    """Return the line numbers and the n_fields string columns of the non-blank
+    path: str | Path, n_fields: int, what: str, build: Callable[[list[list[str]]], T]
+) -> T:
+    """Return build(columns) for the n_fields string columns of the non-blank
     lines of a UTF-8 TSV file; a leading byte-order mark is dropped.
 
     Each line needs n_fields tab-separated fields and a first field no earlier
-    line used; ``what`` names the file kind in errors. ``check_row(lineno,
-    fields)`` raises the caller's error for a bad row. It runs only once a
-    check here has failed, line by line, so the first bad line in file order
-    names the error (see raise_first_bad_row)."""
+    line used; ``what`` names the file kind in errors. ``build`` raises
+    ValueError if any row is bad. If a check fails, the lines are checked
+    again one at a time in file order, ``build`` given each line alone, and
+    the first bad line names the error."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such {what}: {path}")
     try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {what} is not UTF-8 text: {exc}") from exc
-    linenos = list(range(1, len(lines) + 1))
+    lines = text.splitlines()
     if not all(lines) or any(map(str.isspace, lines)):  # drop blank lines
-        linenos = [lineno for lineno, line in zip(linenos, lines) if line.strip()]
-        lines = [lines[lineno - 1] for lineno in linenos]
-    if list(map(str.count, lines, repeat("\t"))).count(n_fields - 1) != len(lines):
-        rows = (line.split("\t") for line in lines)
-        raise_first_bad_row(path, n_fields, zip(linenos, rows), check_row)
-    joined = "\t".join(lines)
-    del lines  # the lines go before the fields come, which keeps peak memory down
-    # "".split("\t") is [""], so an empty file needs its own case.
-    fields = joined.split("\t") if linenos else []
-    del joined
-    columns = [fields[k::n_fields] for k in range(n_fields)]
-    del fields
-    if len(set(columns[0])) != len(linenos):
-        raise_first_bad_row(path, n_fields, zip(linenos, zip(*columns)), check_row)
-    return linenos, columns
-
-
-def raise_first_bad_row(
-    path: str | Path, n_fields: int, rows: Iterable[tuple[int, Sequence[str]]], check_row: RowCheck
-) -> NoReturn:
-    """Check (line number, fields) rows in file order, as read_tsv's callers
-    did one line at a time, and raise the first bad row's error: a wrong field
-    count, then a repeated first field, then whatever check_row raises.
-
-    Called only once a whole-column check has failed, so some row must fail."""
+        lines = [line for line in lines if line.strip()]
+    n_rows = len(lines)
+    if list(map(str.count, lines, repeat("\t"))).count(n_fields - 1) == n_rows:
+        joined = "\t".join(lines)
+        del lines  # the lines go before the fields come, which keeps peak memory down
+        # "".split("\t") is [""], so an empty file needs its own case.
+        fields = joined.split("\t") if n_rows else []
+        del joined
+        columns = [fields[k::n_fields] for k in range(n_fields)]
+        del fields
+        if len(set(columns[0])) == n_rows:
+            try:
+                return build(columns)
+            except ValueError:
+                pass
+    # Some line is bad: check the lines in file order to name the first.
     seen: set[str] = set()
-    for lineno, fields in rows:
-        if len(fields) != n_fields:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        row = line.split("\t")
+        if len(row) != n_fields:
             raise ParseError(
-                f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(row)}"
             )
-        if fields[0] in seen:
-            raise DuplicateIdError(f"{path}:{lineno}: duplicate id {fields[0]!r}")
-        seen.add(fields[0])
-        check_row(lineno, fields)
-    raise AssertionError(f"{path}: a column check failed but every row passed")
-
-
-def _manifest_entry(path: str | Path, lineno: int, fields: Sequence[str]) -> ManifestEntry:
-    try:
-        return ManifestEntry(*fields)
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if row[0] in seen:
+            raise DuplicateIdError(f"{path}:{lineno}: duplicate id {row[0]!r}")
+        seen.add(row[0])
+        try:
+            build([[field] for field in row])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    raise AssertionError(f"{path}: the columns failed a check but every line passed")
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Parse a TSV manifest: utt_id, path, key, attack; one entry per line."""
-    check = functools.partial(_manifest_entry, path)
-    linenos, columns = read_tsv(path, 4, "manifest", check)
-    return list(map(check, linenos, zip(*columns)))
+    return read_tsv(path, 4, "manifest", lambda columns: list(map(ManifestEntry, *columns)))
 
 
 def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:

@@ -8,17 +8,14 @@ linearly interpolated crossing of those two step functions.
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .audio_io import MANIFEST_KEYS, raise_first_bad_row, read_tsv
-from .errors import InsufficientClassesError, ParseError, UnknownAttackError
+from .audio_io import MANIFEST_KEYS, read_tsv
+from .errors import InsufficientClassesError, UnknownAttackError
 
 # ASVspoof 2019 LA evaluation protocol: A07-A16 synthesize from text,
 # A17-A19 convert voices.
@@ -62,30 +59,24 @@ class EerBreakdown:
     per_attack: dict[str, EerResult] = field(default_factory=dict)
 
 
-def _check_score_row(path: str | Path, lineno: int, fields: Sequence[str]) -> None:
-    _, key, _, score_text = fields
-    try:
-        score = float(score_text)
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    if key not in MANIFEST_KEYS:
-        raise ParseError(f"{path}:{lineno}: key must be one of {MANIFEST_KEYS}, got {key!r}")
-    if not math.isfinite(score):
-        raise ParseError(f"{path}:{lineno}: score must be finite, got {score_text!r}")
+def _score_set(columns: list[list[str]]) -> ScoreSet:
+    """The ScoreSet of a score file's columns; a bad row raises ValueError:
+    first an unparsable score, then a key not in MANIFEST_KEYS, then a
+    non-finite score."""
+    _, keys, attack, score_texts = columns
+    scores = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
+    if not set(keys) <= set(MANIFEST_KEYS):
+        key = next(k for k in keys if k not in MANIFEST_KEYS)
+        raise ValueError(f"key must be one of {MANIFEST_KEYS}, got {key!r}")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise ValueError(f"score must be finite, got {score_texts[int(np.argmin(finite))]!r}")
+    return ScoreSet(scores, np.array(keys, dtype=object) == "bonafide", attack)
 
 
 def read_scores(path: str | Path) -> ScoreSet:
     """Parse a score TSV: utt_id, key, attack, score; one trial per line."""
-    check = functools.partial(_check_score_row, path)
-    linenos, columns = read_tsv(path, 4, "score file", check)
-    _, keys, attack, score_texts = columns
-    try:
-        scores = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
-    except ValueError:
-        scores = None
-    if scores is None or not set(keys) <= set(MANIFEST_KEYS) or not np.isfinite(scores).all():
-        raise_first_bad_row(path, 4, zip(linenos, zip(*columns)), check)
-    return ScoreSet(scores, np.array(keys, dtype=object) == "bonafide", attack)
+    return read_tsv(path, 4, "score file", _score_set)
 
 
 def _sorted_scores(name: str, values: np.ndarray) -> np.ndarray:
@@ -164,18 +155,16 @@ def eer_breakdown(scores: ScoreSet, attack_groups: dict[str, str] | None = None)
     )
 
 
-def _check_group_row(path: str | Path, lineno: int, fields: Sequence[str]) -> None:
-    if fields[1] not in ("TTS", "VC"):
-        raise ParseError(f"{path}:{lineno}: expected '<attack>\\tTTS|VC'")
+def _group_map(columns: list[list[str]]) -> dict[str, str]:
+    attacks, groups = columns
+    if not set(groups) <= {"TTS", "VC"}:
+        raise ValueError("expected '<attack>\\tTTS|VC'")
+    return dict(zip(attacks, groups))
 
 
 def load_attack_groups(path: str | Path) -> dict[str, str]:
     """Read an attack -> {TTS, VC} mapping file (TSV, one pair per line)."""
-    check = functools.partial(_check_group_row, path)
-    linenos, (attacks, groups) = read_tsv(path, 2, "mapping file", check)
-    if not set(groups) <= {"TTS", "VC"}:
-        raise_first_bad_row(path, 2, zip(linenos, zip(attacks, groups)), check)
-    return dict(zip(attacks, groups))
+    return read_tsv(path, 2, "mapping file", _group_map)
 
 
 def _pct(result: EerResult | None) -> str:

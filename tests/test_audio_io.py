@@ -38,7 +38,8 @@ def _riff(*chunks):
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
-# Malformed WAV headers: name -> (file bytes, text the UnsupportedFormatError carries).
+# Malformed WAV headers and non-finite float32 samples:
+# name -> (file bytes, text the UnsupportedFormatError carries).
 HOSTILE_WAVS = {
     "under-12-bytes": (b"RIFF\x03\x00\x00\x00WAV", "too small"),
     "chunk-past-end": (_raw_wav(1, 1, 16000, 16, b"\x00" * 8)[:-4], "truncated chunk"),
@@ -47,6 +48,10 @@ HOSTILE_WAVS = {
     "no-fmt-chunk": (_riff((b"LIST", b"abcd"), (b"data", b"\x00" * 8)), "missing fmt/data"),
     "fmt-under-16-bytes": (_riff((b"fmt ", struct.pack("<HHIIH", 1, 1, 16000, 32000, 2)),
                                  (b"data", b"\x00" * 8)), "fmt chunk too short"),
+    "float32-nan": (_raw_wav(3, 1, 16000, 32, np.array([0.0, np.nan], "<f4").tobytes()),
+                    "samples must be finite"),
+    "float32-inf": (_raw_wav(3, 1, 16000, 32, np.array([-np.inf, 0.0], "<f4").tobytes()),
+                    "samples must be finite"),
 }
 
 
@@ -268,8 +273,9 @@ class TestAudioBuffer:
             assert len(back) == n and back.sample_rate == rate
 
 
-def _any_row(lineno, fields):
-    """A read_tsv row check that accepts every row."""
+def _any_row(columns):
+    """A read_tsv build that accepts every row and returns the columns."""
+    return columns
 
 
 class TestManifest:
@@ -293,7 +299,7 @@ class TestManifest:
         with pytest.raises(ParseError, match=":2"):
             audio_io.read_manifest(path)
 
-    @pytest.mark.parametrize("utt_id", ["", ".", "..", "../x", "a/b", "a\\b", "/abs"])
+    @pytest.mark.parametrize("utt_id", ["", ".", "..", "../x", "a/b", "a\\b", "/abs", "a\x00b"])
     def test_id_must_be_plain_file_name(self, tmp_path, utt_id):
         path = tmp_path / "m.tsv"
         path.write_text(f"u1\ta.wav\tbonafide\t-\n{utt_id}\tb.wav\tspoof\tA07\n")
@@ -315,7 +321,7 @@ class TestManifest:
     def test_tsv_reader_contract(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("a\t1\n\n  \nb\t2\n")
-        assert audio_io.read_tsv(path, 2, "table", _any_row) == ([1, 4], [["a", "b"], ["1", "2"]])
+        assert audio_io.read_tsv(path, 2, "table", _any_row) == [["a", "b"], ["1", "2"]]
         with pytest.raises(FileNotFoundError, match="no such table"):
             audio_io.read_tsv(tmp_path / "missing.tsv", 2, "table", _any_row)
         path.write_bytes(b"a\t1\nb\t\xff\n")
@@ -328,11 +334,31 @@ class TestManifest:
         with pytest.raises(DuplicateIdError, match=":3"):
             audio_io.read_tsv(path, 2, "table", _any_row)
 
+    def test_build_runs_once_unless_a_line_is_bad(self, tmp_path):
+        calls = []
+
+        def build(columns):
+            calls.append(len(columns[0]))
+            if "bad" in columns[1]:
+                raise ValueError("bad value")
+            return columns
+
+        path = tmp_path / "t.tsv"
+        lines = [f"u{i}\tok\n" for i in range(20000)]
+        path.write_text("".join(lines))
+        assert audio_io.read_tsv(path, 2, "table", build)[0][-1] == "u19999"
+        assert calls == [20000]
+        calls.clear()
+        path.write_text("".join(lines[:-1]) + "u19999\tbad\n")
+        with pytest.raises(ParseError, match=r":20000: bad value$"):
+            audio_io.read_tsv(path, 2, "table", build)
+        assert calls == [20000] + [1] * 20000
+
     def test_leading_bom_ignored(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_bytes(b"\xef\xbb\xbfu0\ta.wav\tbonafide\t-\n")
         columns = [["u0"], ["a.wav"], ["bonafide"], ["-"]]
-        assert audio_io.read_tsv(path, 4, "manifest", _any_row) == ([1], columns)
+        assert audio_io.read_tsv(path, 4, "manifest", _any_row) == columns
         assert audio_io.read_manifest(path)[0].utt_id == "u0"
 
     def test_round_trip(self, tmp_path):

@@ -505,7 +505,7 @@ class TestConfig:
         assert not out.exists()
         assert flag[0] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("utt_id", ["../escaped", "a/b", "a\\b", "..", ".", ""])
+    @pytest.mark.parametrize("utt_id", ["../escaped", "a/b", "a\\b", "..", ".", "", "a\x00b"])
     def test_manifest_ids_stay_inside_out(self, corpus, tmp_path, utt_id):
         manifest = corpus.parent / "hostile.tsv"
         manifest.write_text(corpus.read_text() + f"{utt_id}\tutt0.wav\tbonafide\t-\n")
