@@ -10,7 +10,6 @@ import os
 import struct
 import uuid
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -188,6 +187,9 @@ def read_wav_encoded(path: str | Path) -> tuple[AudioBuffer, str]:
     if not names:
         raise UnsupportedFormatError(f"{path}: unsupported format={audio_format} bits={bits}")
     _, _, dtype, full_scale = WAV_ENCODINGS[names[0]]
+    if sample_rate * (bits // 8) > 0xFFFFFFFF:  # write_wav could not store its byte rate
+        raise UnsupportedFormatError(f"{path}: byte rate of sample_rate={sample_rate} "
+                                     f"at {bits} bits overflows 32 bits")
     data = chunks["data"]
     n = len(data) // (bits // 8)
     if n == 0:
@@ -248,14 +250,15 @@ def read_tsv(
     lines = text.splitlines()
     if not all(lines) or any(map(str.isspace, lines)):  # drop blank lines
         lines = [line for line in lines if line.strip()]
-    n_rows = len(lines)
-    if list(map(str.count, lines, repeat("\t"))).count(n_fields - 1) == n_rows:
-        joined = "\t".join(lines)
-        del lines  # the lines go before the fields come, which keeps peak memory down
-        # "".split("\t") is [""], so an empty file needs its own case.
-        fields = joined.split("\t") if n_rows else []
-        del joined
-        columns = [fields[k::n_fields] for k in range(n_fields)]
+    if not lines:  # "".split("\t") is [""], so an empty file needs its own case
+        return build([[] for _ in range(n_fields)])
+    n_rows, stride = len(lines), n_fields + 1
+    joined = "\t\n\t".join(lines)  # no line holds "\n", so "\n" fields mark the joins
+    del lines  # the lines go before the fields come, which keeps peak memory down
+    fields = joined.split("\t")
+    del joined
+    if len(fields) == n_rows * stride - 1 and fields[n_fields::stride].count("\n") == n_rows - 1:
+        columns = [fields[k::stride] for k in range(n_fields)]
         del fields
         if len(set(columns[0])) == n_rows:
             try:

@@ -191,11 +191,12 @@ def _run_manifest(
     label: str,
     worker: Callable[[ManifestEntry, AudioBuffer, Path], Any],
     select: Callable[[list[ManifestEntry]], list[ManifestEntry]] = list,
-    finish: Callable[[list[Any], Path], str] = lambda results, out_dir: "",
-) -> int:
+) -> tuple[int, list[Any] | None]:
     """Shared batch steps: read the manifest, echo the config, run worker(entry,
-    audio, out_dir) on the selected entries and log a summary ending in what
-    finish(results of the files that succeeded, out_dir) returns."""
+    audio, out_dir) on the selected entries and log a summary.
+
+    Returns the exit code and the results of the files that succeeded, or
+    (EXIT_OK, None) when nothing was selected."""
     manifest_path = Path(args.manifest)
     entries = audio_io.read_manifest(manifest_path)
     out_dir = Path(args.out)
@@ -207,31 +208,29 @@ def _run_manifest(
     selected = select(entries)
     if not selected:
         log.warning("%s: nothing to do in manifest %s", label, manifest_path)
-        return EXIT_OK
+        return EXIT_OK, None
 
     def run(entry: ManifestEntry) -> Any:
         # Relative to the manifest's directory; an absolute path replaces it.
         return worker(entry, audio_io.read_wav(manifest_path.parent / entry.path), out_dir)
 
     results, failures = _run_batch(selected, run, args.jobs)
-    note = finish([r for r in results if r is not None], out_dir)
-    log.info("%s: %d/%d files ok%s", label, len(selected) - failures, len(selected), note)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    log.info("%s: %d/%d files ok", label, len(selected) - failures, len(selected))
+    return (EXIT_PARTIAL if failures else EXIT_OK), [r for r in results if r is not None]
 
 
 def cmd_glottal(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.seed)
 
-    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> Any:
+    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> bool:
         result = extract_glottal_flow(buf, cfg.iaif)
         audio_io.write_wav(out_dir / f"{entry.utt_id}.glottal.wav", result.flow, cfg.encoding)
-        return result.unstable_frames, result.total_frames
+        if result.unstable_frames:
+            log.warning("%s: unstable LPC in %d of %d frames; passed them through raw",
+                        entry.utt_id, result.unstable_frames, result.total_frames)
+        return True
 
-    def frames_note(results: list[tuple[int, int]], out_dir: Path) -> str:
-        unstable, total = sum(r[0] for r in results), sum(r[1] for r in results)
-        return f", {unstable}/{total} frames passed through raw"
-
-    return _run_manifest(args, cfg, "glottal", worker, finish=frames_note)
+    return _run_manifest(args, cfg, "glottal", worker)[0]
 
 
 def cmd_features(args: argparse.Namespace) -> int:
@@ -242,7 +241,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         audio_io.write_features(out_dir / f"{entry.utt_id}.rfb", bundle)
         return True
 
-    return _run_manifest(args, cfg, "features", worker)
+    return _run_manifest(args, cfg, "features", worker)[0]
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -277,13 +276,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
             audio_io.write_features(out_dir / f"{entry.utt_id}.rfb", result.features)
         return ManifestEntry(utt_id=entry.utt_id, path=wav_name, key="spoof", attack=attack_tag)
 
-    def write_spoof_manifest(results: list[ManifestEntry], out_dir: Path) -> str:
+    code, results = _run_manifest(args, cfg, f"augment({attack_tag})", worker, bonafide)
+    if results is not None:
         audio_io.write_manifest(spoof_manifest, results)
-        return ""
-
-    return _run_manifest(
-        args, cfg, f"augment({attack_tag})", worker, bonafide, write_spoof_manifest
-    )
+    return code
 
 
 def cmd_speedperturb(args: argparse.Namespace) -> int:

@@ -10,7 +10,6 @@ commute, each block is integrated once, not once per integrating stage.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 from . import dsp
 from .audio_io import AudioBuffer
 from .errors import UnstableFrameError
-
-log = logging.getLogger(__name__)
 
 # Frames per IAIF block: bounds the per-stage frame stacks, so peak memory does
 # not grow with utterance length beyond the output itself.
@@ -214,8 +211,6 @@ def extract_glottal_flow(audio: AudioBuffer, cfg: IaifConfig | None = None) -> G
         glottal *= w
         unstable += int(np.count_nonzero(bad))
         dsp.ola_accumulate(flow[start * spec.hop_length :], glottal, spec.hop_length)
-    if unstable:
-        log.warning("unstable LPC in %d of %d frames; passed them through raw", unstable, n)
     flow /= envelope
     return GlottalFlowResult(
         flow=AudioBuffer(samples=dsp.peak_normalize(flow), sample_rate=audio.sample_rate),

@@ -52,6 +52,11 @@ HOSTILE_WAVS = {
                     "samples must be finite"),
     "float32-inf": (_raw_wav(3, 1, 16000, 32, np.array([-np.inf, 0.0], "<f4").tobytes()),
                     "samples must be finite"),
+    # Rates whose byte rate (rate * bytes per sample) needs more than 32 bits.
+    "pcm16-at-2**31-hz": (_riff((b"fmt ", struct.pack("<HHIIHH", 1, 1, 2**31, 0, 2, 16)),
+                                (b"data", b"\x00" * 8)), "overflows 32 bits"),
+    "float32-at-2**30-hz": (_riff((b"fmt ", struct.pack("<HHIIHH", 3, 1, 2**30, 0, 4, 32)),
+                                  (b"data", b"\x00" * 8)), "overflows 32 bits"),
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FS, two_formant_voice
-from rhythmkit import dsp, glottal
+from rhythmkit import audio_io, cli, dsp, glottal
 from rhythmkit.audio_io import AudioBuffer
 from rhythmkit.errors import TooShortError, UnstableFrameError
 from rhythmkit.glottal import IaifConfig, _iaif_rows, extract_glottal_flow, highpass, iaif_frame
@@ -33,6 +33,16 @@ class TestHighpass:
         y = highpass(x, FS, 70.0)
         gain = np.sqrt(np.mean(y[2000:] ** 2) / np.mean(x[2000:] ** 2))
         assert 0.9 < gain < 1.1
+
+    def test_matches_bilinear_butterworth(self):
+        fs, fc, n = 16000, 70.0, 2**17
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        response = np.abs(np.fft.rfft(highpass(impulse, fs, fc)))
+        bins = np.rint(np.array([17.5, 35.0, 70.0, 140.0, 1000.0]) * n / fs).astype(int)
+        f = bins * fs / n
+        analytic = 1.0 / np.sqrt(1.0 + (np.tan(np.pi * fc / fs) / np.tan(np.pi * f / fs)) ** 8)
+        np.testing.assert_allclose(response[bins], analytic, rtol=0.0, atol=1e-12)
 
     def test_zero_cutoff_is_identity(self):
         x = np.linspace(-1, 1, 100)
@@ -229,7 +239,24 @@ class TestExtractGlottalFlow:
         stable = np.setdiff1d(np.arange(len(frames)), flagged)
         assert not np.allclose(frames[stable], raw[stable])
 
-    def test_one_warning_per_utterance(self, monkeypatch, caplog):
+    @staticmethod
+    def _batch_warnings(tmp_path, caplog):
+        """WARNING messages of `rhythmkit glottal` on three files, by --jobs value."""
+        voice, _ = two_formant_voice(seconds=0.2)
+        for i in range(3):
+            audio_io.write_wav(tmp_path / f"v{i}.wav", voice)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("".join(f"v{i}\tv{i}.wav\tbonafide\t-\n" for i in range(3)))
+        warnings = {}
+        for jobs in ("1", "2"):
+            caplog.clear()
+            argv = ["glottal", str(manifest), "--out", str(tmp_path / jobs), "--jobs", jobs]
+            assert cli.main(argv) == 0
+            warnings[jobs] = sorted(rec.getMessage() for rec in caplog.records
+                                    if rec.levelno == logging.WARNING)
+        return warnings
+
+    def test_one_warning_per_utterance(self, tmp_path, monkeypatch, caplog):
         voice, _ = two_formant_voice(seconds=0.2)
         real = dsp.levinson_rows
 
@@ -238,17 +265,21 @@ class TestExtractGlottalFlow:
             return replace(rows, coeffs=0.0 * rows.coeffs, unstable=np.ones(len(r), dtype=bool))
 
         monkeypatch.setattr(dsp, "levinson_rows", all_unstable)
-        with caplog.at_level(logging.WARNING, logger="rhythmkit.glottal"):
+        # The library counts the forced frames and logs nothing; the CLI logs per utterance.
+        with caplog.at_level(logging.DEBUG):
             res = extract_glottal_flow(voice)
-        warnings = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        assert f"{res.unstable_frames} of {res.total_frames}" in warnings[0].getMessage()
+        assert not caplog.records
+        assert res.unstable_frames == res.total_frames > 0
+        want = [f"v{i}: unstable LPC in {res.total_frames} of {res.total_frames} frames; "
+                "passed them through raw" for i in range(3)]
+        assert self._batch_warnings(tmp_path, caplog) == {"1": want, "2": want}
 
-    def test_no_warning_when_stable(self, caplog):
+    def test_no_warning_when_stable(self, tmp_path, caplog):
         voice, _ = two_formant_voice(seconds=0.2)
-        with caplog.at_level(logging.WARNING, logger="rhythmkit.glottal"):
+        with caplog.at_level(logging.DEBUG):
             assert extract_glottal_flow(voice).unstable_frames == 0
         assert not caplog.records
+        assert self._batch_warnings(tmp_path, caplog) == {"1": [], "2": []}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -181,6 +181,20 @@ def test_first_bad_line_wins_over_a_later_duplicate(tmp_path):
         read_scores(path)
 
 
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_field_counts_that_cancel_out_name_line_1(tmp_path, kind):
+    # Line 1 has a field too many and line 2 lacks its id: the total field count is
+    # right, and were the lines cut by count alone, line 2 would read as a good row.
+    read, ref, make_row, _ = READERS[kind]
+    rng = np.random.default_rng(0)
+    first, second = make_row(rng, 0), make_row(rng, 1)
+    path = tmp_path / "t.tsv"
+    path.write_text("\t".join(first + ["x"]) + "\n" + "\t".join(second[1:]) + "\n")
+    outcome = _outcome(read, path)
+    assert outcome == _outcome(ref, path)
+    assert outcome[0] == "ParseError" and f"{path}:1: expected {len(first)}" in outcome[1]
+
+
 @pytest.mark.parametrize("text", ["", " \n\t\t\t\n\n   "], ids=["empty", "blank"])
 class TestNoRows:
     def test_readers_return_nothing(self, tmp_path, text):
@@ -190,11 +204,14 @@ class TestNoRows:
         assert len(read_scores(path).scores) == 0
         assert load_attack_groups(path) == {}
 
-    def test_glottal_has_nothing_to_do(self, tmp_path, text, caplog):
+    @pytest.mark.parametrize("command", ["glottal", "features", "augment"])
+    def test_batch_has_nothing_to_do(self, tmp_path, text, caplog, command):
         path = tmp_path / "m.tsv"
         path.write_text(text, encoding="utf-8")
-        assert cli.main(["glottal", str(path), "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == 0
         assert any("nothing to do" in rec.getMessage() for rec in caplog.records)
+        assert [p.name for p in out.iterdir()] == ["config.effective.json"]
 
     def test_eer_needs_both_classes(self, tmp_path, text, caplog):
         path = tmp_path / "s.tsv"
