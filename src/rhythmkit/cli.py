@@ -12,7 +12,7 @@ import logging
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Callable, get_args, get_type_hints
@@ -37,44 +37,35 @@ class ConfigError(RhythmkitError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One section per stage config, laid out as the document by config_as_dict.
+class AudioConfig:
+    encoding: str = "pcm16"
 
-    Metadata "section" files a scalar under that section; "tied" names the
-    section's fields that take the top-level value of the same name."""
+    def __post_init__(self) -> None:
+        if self.encoding not in WAV_ENCODINGS:
+            raise ValueError(f"encoding {self.encoding!r} not in {list(WAV_ENCODINGS)}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One section per stage config; build_run_config sets rpm.seed to seed."""
 
     seed: int = 0
-    encoding: str = field(default="pcm16", metadata={"section": "audio"})
+    audio: AudioConfig = AudioConfig()
     iaif: IaifConfig = IaifConfig()
     features: FeatureConfig = FeatureConfig()
-    rpm: RpmConfig = field(default=RpmConfig(), metadata={"tied": ("seed",)})
+    rpm: RpmConfig = RpmConfig()
     griffin_lim: GriffinLimConfig = GriffinLimConfig()
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.encoding not in WAV_ENCODINGS:
-            raise ValueError(f"audio.encoding {self.encoding!r} not in {list(WAV_ENCODINGS)}")
-
-
-def _to_doc(obj: Any, top: bool, skip: tuple[str, ...] = ()) -> dict:
-    """Fields as document keys: below the top, a nested dataclass is spliced in."""
-    doc: dict = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value) and top:
-            doc[f.name] = _to_doc(value, False, f.metadata.get("tied", ()))
-        elif is_dataclass(value):
-            doc.update(_to_doc(value, False))
-        elif "section" in f.metadata:
-            doc.setdefault(f.metadata["section"], {})[f.name] = value
-        elif f.name not in skip:
-            doc[f.name] = value
-    return doc
 
 
 def config_as_dict(cfg: RunConfig) -> dict:
-    return _to_doc(cfg, top=True)
+    """The config document: one key per field, less rpm.seed, which is the top-level seed."""
+    doc = asdict(cfg)
+    del doc["rpm"]["seed"]
+    return doc
 
 
 def _typed(value: Any, hint: Any, name: str) -> Any:
@@ -91,23 +82,18 @@ def _typed(value: Any, hint: Any, name: str) -> Any:
     return value
 
 
-def _from_doc(default: Any, doc: dict, top: bool, where: str = "") -> Any:
-    """Inverse of _to_doc: a copy of default with the fields doc names replaced."""
+def _from_doc(default: Any, doc: dict, where: str = "") -> Any:
+    """A copy of default with the fields doc names (checked by _check_keys) replaced."""
     hints = get_type_hints(type(default))
     changes = {}
-    for f in fields(default):
-        current = getattr(default, f.name)
-        section = f.metadata.get("section")
-        values = doc.get(section, {}) if section else doc
-        if is_dataclass(current) and top:
-            tied = {name: doc[name] for name in f.metadata.get("tied", ()) if name in doc}
-            section_doc = {**doc.get(f.name, {}), **tied}
-            changes[f.name] = _from_doc(current, section_doc, False, f"{f.name}.")
-        elif is_dataclass(current):
-            changes[f.name] = _from_doc(current, doc, False, where)
-        elif f.name in values:
-            prefix = f"{section}." if section else where
-            changes[f.name] = _typed(values[f.name], hints[f.name], prefix + f.name)
+    for name, value in doc.items():
+        if is_dataclass(hints[name]):
+            try:
+                changes[name] = _from_doc(getattr(default, name), value, f"{name}.")
+            except ValueError as exc:  # the section's own range checks
+                raise ConfigError(f"{name}: {exc}") from exc
+        else:
+            changes[name] = _typed(value, hints[name], where + name)
     return replace(default, **changes)
 
 
@@ -127,9 +113,10 @@ def build_run_config(doc: dict) -> RunConfig:
     default = RunConfig()
     _check_keys(doc, config_as_dict(default), "root")
     try:
-        return _from_doc(default, doc, top=True)
+        cfg = _from_doc(default, doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    return replace(cfg, rpm=replace(cfg.rpm, seed=cfg.seed))
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -224,7 +211,7 @@ def cmd_glottal(args: argparse.Namespace) -> int:
 
     def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> bool:
         result = extract_glottal_flow(buf, cfg.iaif)
-        audio_io.write_wav(out_dir / f"{entry.utt_id}.glottal.wav", result.flow, cfg.encoding)
+        audio_io.write_wav(out_dir / f"{entry.utt_id}.glottal.wav", result.flow, cfg.audio.encoding)
         if result.unstable_frames:
             log.warning("%s: unstable LPC in %d of %d frames; passed them through raw",
                         entry.utt_id, result.unstable_frames, result.total_frames)
@@ -268,7 +255,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
             buf, cfg.features, cfg.rpm if use_rpm else None, cfg.griffin_lim, entry.utt_id
         )
         wav_name = f"{entry.utt_id}.synth.wav"
-        audio_io.write_wav(out_dir / wav_name, result.audio, cfg.encoding)
+        audio_io.write_wav(out_dir / wav_name, result.audio, cfg.audio.encoding)
         if result.plan is not None:
             plan_path = out_dir / f"{entry.utt_id}.plan.json"
             write_plan(plan_path, result.plan, entry.utt_id, cfg.rpm.seed)

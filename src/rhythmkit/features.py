@@ -6,7 +6,7 @@ number of frames. Unvoiced frames carry F0 = 0.0 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,9 @@ def mel_to_hz(m: np.ndarray | float) -> np.ndarray | float:
 @dataclass(frozen=True)
 class FeatureConfig:
     n_fft: int = 1024
-    frame: dsp.FrameSpec = field(default_factory=lambda: dsp.FrameSpec(1024, 256, "hann"))
+    win_length: int = 1024
+    hop_length: int = 256
+    window: str = "hann"
     n_mels: int = 80
     fmin: float = 0.0
     fmax: float | None = None  # None -> Nyquist
@@ -37,13 +39,12 @@ class FeatureConfig:
     voicing_threshold: float = 0.3
 
     def __post_init__(self) -> None:
+        frame = self.frame  # FrameSpec checks win_length, hop_length and window
         # Griffin-Lim recovers n_fft from the rfft bin count, which only an even n_fft gives back.
         if self.n_fft % 2:
             raise ValueError(f"n_fft must be even, got {self.n_fft}")
-        if self.frame.win_length > self.n_fft:
-            raise ValueError(
-                f"win_length {self.frame.win_length} exceeds n_fft {self.n_fft}"
-            )
+        if frame.win_length > self.n_fft:
+            raise ValueError(f"win_length {frame.win_length} exceeds n_fft {self.n_fft}")
         if self.n_mels < 1:
             raise ValueError(f"n_mels must be positive, got {self.n_mels}")
         if self.fmin < 0.0:
@@ -54,6 +55,10 @@ class FeatureConfig:
             raise ValueError(f"need 0 < f0_min < f0_max, got [{self.f0_min}, {self.f0_max}]")
         if not 0.0 < self.voicing_threshold < 1.0:
             raise ValueError(f"voicing_threshold must lie in (0,1), got {self.voicing_threshold}")
+
+    @property
+    def frame(self) -> dsp.FrameSpec:
+        return dsp.FrameSpec(self.win_length, self.hop_length, self.window)
 
     def effective_fmax(self, sample_rate: int) -> float:
         nyquist = sample_rate / 2.0
@@ -103,7 +108,7 @@ def estimate_f0(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     admissible lag range stays below the voicing threshold.
     """
     fs = audio.sample_rate
-    spec = dsp.FrameSpec(cfg.frame.win_length, cfg.frame.hop_length, "rect")
+    spec = dsp.FrameSpec(cfg.win_length, cfg.hop_length, "rect")
     frames = dsp.frame_signal(audio.samples, spec)
     lag_lo = max(1, int(np.ceil(fs / cfg.f0_max)))
     lag_hi = min(int(np.floor(fs / cfg.f0_min)), spec.win_length - 1)
@@ -136,6 +141,6 @@ def extract_features(audio: AudioBuffer, cfg: FeatureConfig) -> FeatureBundle:
         mel=mel,
         f0=f0,
         sample_rate=float(audio.sample_rate),
-        hop_length=cfg.frame.hop_length,
-        win_length=cfg.frame.win_length,
+        hop_length=cfg.hop_length,
+        win_length=cfg.win_length,
     )

@@ -29,6 +29,15 @@ NON_DEFAULT_CONFIG = {
 }
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _key_tree(doc: dict) -> dict:
+    """The nested key set of a config document, its values dropped."""
+    return {key: _key_tree(value) if isinstance(value, dict) else None
+            for key, value in doc.items()}
+
+
 @pytest.fixture()
 def corpus(tmp_path):
     """Three bonafide utterances plus one spoof row, manifest with relative paths."""
@@ -544,7 +553,7 @@ class TestConfig:
     def test_non_default_values_land_in_their_fields(self):
         cfg = build_run_config(NON_DEFAULT_CONFIG)
         assert cfg.seed == cfg.rpm.seed == 7 and cfg.griffin_lim.seed == 4
-        assert cfg.encoding == "float32"
+        assert cfg.audio.encoding == "float32"
         assert (cfg.features.frame.win_length, cfg.features.frame.hop_length) == (512, 128)
         assert cfg.features.frame.window == "rect" and cfg.features.n_fft == 1024
         assert cfg.iaif.vocal_tract_order == 20 and cfg.iaif.window == "hamming"
@@ -585,10 +594,30 @@ class TestConfig:
         {"features": {"n_mels": 0}},
         {"features": {"win_length": 0}},
         {"griffin_lim": {"init_phase": "bogus"}},
+        {"features": {"window": "bogus"}},
+        {"features": {"hop_length": 0}},
+        {"features": {"hop_length": 2048}},
     ])
     def test_bad_values_rejected_at_load(self, doc):
         with pytest.raises(ConfigError):
             build_run_config(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"griffin_lim": {"seed": -1}}, "griffin_lim: seed must be nonnegative, got -1"),
+        ({"iaif": {"window": "bogus"}}, "iaif: unknown window 'bogus', expected one of "),
+        ({"features": {"window": "bogus"}}, "features: unknown window 'bogus', expected one of "),
+        ({"audio": {"encoding": "pcm24"}}, "audio: encoding 'pcm24' not in "),
+    ])
+    def test_range_error_names_its_section(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            build_run_config(doc)
+        assert str(info.value).startswith(message)
+
+    def test_readme_example_matches_schema(self):
+        section = README.read_text(encoding="utf-8").split("### Run config\n", 1)[1]
+        doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        build_run_config(doc)
+        assert _key_tree(doc) == _key_tree(config_as_dict(RunConfig()))
 
     def test_ints_for_floats_and_null_where_default_is_null(self):
         cfg = build_run_config({"rpm": {"factor_lo": 1, "factor_hi": 2},
@@ -603,7 +632,7 @@ class TestConfig:
     "factor-0", "factor-nan", "factor-inf", "factor-lo-0", "factor-lo-nan-hi-nan",
     "factor-lo-above-hi", "factor-hi-below-config-lo", "config-wrong-type",
     "fmax-below-fmin", "fmax-zero", "n-fft-odd", "vt-order-not-above-glottal",
-    "config-duplicate-key",
+    "config-duplicate-key", "rpm-not-object-with-flag",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     out = tmp_path / "out"
@@ -627,6 +656,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     low_vt.write_text('{"iaif": {"vocal_tract_order": 3}}')
     repeated = tmp_path / "repeated.json"
     repeated.write_text('{"seed": 1, "seed": 2, "rpm": {"seg_min": 5, "seg_min": 6}}')
+    rpm_scalar = tmp_path / "rpm_scalar.json"
+    rpm_scalar.write_text('{"rpm": 5}')
     wav = str(corpus.parent / "utt0.wav")
     augment = ["augment", str(corpus), "--out", str(out)]
     argv = {
@@ -649,6 +680,7 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
             ["glottal", str(corpus), "--out", str(out), "--config", str(low_vt)],
         "config-duplicate-key":
             ["features", str(corpus), "--out", str(out), "--config", str(repeated)],
+        "rpm-not-object-with-flag": augment + ["--config", str(rpm_scalar), "--factor-lo", "0.9"],
     }[case]
     assert main(argv) == 1
     assert not out.exists()

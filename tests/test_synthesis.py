@@ -135,7 +135,7 @@ class TestGriffinLim:
     @pytest.mark.parametrize("order", ["C", "F"])  # mel_to_linear returns F order
     @pytest.mark.parametrize("init_phase", ["zeros", "random"])
     def test_window_shorter_than_n_fft_matches_reference(self, init_phase, order):
-        cfg = FeatureConfig(frame=dsp.FrameSpec(800, 200, "hann"))
+        cfg = FeatureConfig(win_length=800, hop_length=200, window="hann")
         mags = stft_magnitude(am_harmonic_signal(seed=4, seconds=0.5), cfg)
         mags = np.asarray(mags, order=order)
         gl = GriffinLimConfig(n_iters=8, init_phase=init_phase, seed=2)
