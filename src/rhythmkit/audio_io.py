@@ -117,11 +117,13 @@ class ManifestEntry:
         # Ids name output files inside --out, so they must be plain file names.
         if self.utt_id in ("", ".", "..") or any(c in self.utt_id for c in "/\\\0"):
             raise ValueError(f"utt_id {self.utt_id!r} is not a plain file name")
-        # write_manifest's fields must read back as themselves: no tab, no line
-        # break, and no leading byte-order mark, which the reader drops.
+        # write_manifest's fields must read back as themselves: no tab, no line break,
+        # no lone surrogate (UTF-8 cannot encode it) and no leading byte-order mark.
         for name, value in (("utt_id", self.utt_id), ("path", self.path), ("attack", self.attack)):
             if "\t" in value or len(f"{value}.".splitlines()) > 1:
                 raise ValueError(f"{name} {value!r} holds a tab or a line break")
+            if any("\ud800" <= c <= "\udfff" for c in value):
+                raise ValueError(f"{name} {value!r} holds a lone surrogate")
         if self.utt_id.startswith("\ufeff"):
             raise ValueError(f"utt_id {self.utt_id!r} starts with a byte-order mark")
         if self.key not in MANIFEST_KEYS:

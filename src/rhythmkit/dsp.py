@@ -280,9 +280,9 @@ def iir_filter(
 ) -> np.ndarray:
     """Direct-form IIR filter b(z)/a(z) along the last axis, zero initial state.
 
-    The package's one use of scipy: scipy.signal is imported here, on first
-    call, because loading it costs about a second that commands which never
-    filter (features, augment, eer, speedperturb) should not pay.
+    scipy.signal's one use outside glottal.highpass's Butterworth design: both import
+    it on first call, because loading it costs about a second that commands which
+    never filter (features, augment, eer, speedperturb) should not pay.
     """
     from scipy.signal import lfilter
 

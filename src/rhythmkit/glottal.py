@@ -11,6 +11,7 @@ commute, each block is integrated once, not once per integrating stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -93,25 +94,22 @@ class GlottalFlowResult:
     total_frames: int
 
 
-def highpass(x: np.ndarray, sample_rate: int, cutoff: float) -> np.ndarray:
-    """4th-order Butterworth high-pass as two cascaded RBJ biquads.
+@cache
+def _highpass_sos(sample_rate: int, cutoff: float) -> np.ndarray:
+    from scipy.signal import butter
 
-    Biquad coefficients per the audio-EQ-cookbook high-pass prototype with
-    the Butterworth pole Qs 1/(2*cos(pi/8)) and 1/(2*cos(3*pi/8)).
-    """
+    return butter(4, cutoff, "highpass", fs=sample_rate, output="sos")
+
+
+def highpass(x: np.ndarray, sample_rate: int, cutoff: float) -> np.ndarray:
+    """4th-order Butterworth high-pass from zero state, designed once per rate and cutoff."""
     if cutoff <= 0.0:
         return np.asarray(x, dtype=np.float64).copy()
     if cutoff >= sample_rate / 2.0:
         raise ValueError(f"cutoff {cutoff} Hz must be below Nyquist ({sample_rate / 2} Hz)")
-    y = np.asarray(x, dtype=np.float64)
-    w0 = 2.0 * np.pi * cutoff / sample_rate
-    for q in (0.5411961001461969, 1.3065629648763766):
-        alpha = np.sin(w0) / (2.0 * q)
-        c = np.cos(w0)
-        b = np.array([(1.0 + c) / 2.0, -(1.0 + c), (1.0 + c) / 2.0])
-        a = np.array([1.0 + alpha, -2.0 * c, 1.0 - alpha])
-        y = dsp.iir_filter(b / a[0], a / a[0], y)
-    return y
+    from scipy.signal import sosfilt
+
+    return sosfilt(_highpass_sos(sample_rate, cutoff), np.asarray(x, dtype=np.float64))
 
 
 def _lpc_rows(frames: np.ndarray, window: np.ndarray, order: int) -> dsp.LpcRows:

@@ -283,12 +283,13 @@ def _any_row(columns):
     return columns
 
 
-# Any text, with the characters a TSV line cannot hold or its reader drops drawn
-# often. Lone surrogates are left out: no UTF-8 file holds them, and
-# write_manifest raises on them before it writes anything.
+# Any text, with the characters a TSV line cannot hold, its reader drops or
+# UTF-8 cannot encode (lone surrogates) drawn often.
 MANIFEST_TEXT = st.text(
-    st.one_of(st.sampled_from("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ufeff/\\\x00. -"),
-              st.characters(exclude_categories=("Cs",))),
+    st.one_of(
+        st.sampled_from("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ufeff\ud800\udbff\udc00\udfff/\\\x00. -"),
+        st.characters(),
+    ),
     max_size=6,
 )
 
@@ -387,7 +388,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("field, value", [
         ("utt_id", "a\tb"), ("utt_id", "a\x1cb"), ("path", "x\ny.wav"), ("attack", "A\t1"),
-        ("utt_id", "\ufeffa"),
+        ("utt_id", "\ufeffa"), ("utt_id", "a\ud800"), ("path", "\udfffx.wav"), ("attack", "A\udc00"),
     ])
     def test_field_that_would_not_read_back_rejected(self, field, value):
         fields = {"utt_id": "u1", "path": "a.wav", "key": "spoof", "attack": "A07", field: value}

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from conftest import FS, two_formant_voice
 from rhythmkit import audio_io, cli, dsp, glottal
@@ -20,6 +21,19 @@ def _spectral_flatness_db(frame):
     p = np.abs(np.fft.rfft(frame)) ** 2
     p = np.maximum(p[1:], 1e-300)  # skip DC
     return 10.0 * (np.mean(np.log10(p)) - np.log10(np.mean(p)))
+
+
+def _rbj_highpass(x, fs, fc):
+    """Reference 4th-order Butterworth: two audio-EQ-cookbook high-pass biquads."""
+    y = np.asarray(x, dtype=np.float64)
+    w0 = 2.0 * np.pi * fc / fs
+    for q in (1.0 / (2.0 * np.cos(np.pi / 8.0)), 1.0 / (2.0 * np.cos(3.0 * np.pi / 8.0))):
+        alpha = np.sin(w0) / (2.0 * q)
+        c = np.cos(w0)
+        b = np.array([(1.0 + c) / 2.0, -(1.0 + c), (1.0 + c) / 2.0])
+        a = np.array([1.0 + alpha, -2.0 * c, 1.0 - alpha])
+        y = lfilter(b / a[0], a / a[0], y)
+    return y
 
 
 class TestHighpass:
@@ -43,6 +57,13 @@ class TestHighpass:
         f = bins * fs / n
         analytic = 1.0 / np.sqrt(1.0 + (np.tan(np.pi * fc / fs) / np.tan(np.pi * f / fs)) ** 8)
         np.testing.assert_allclose(response[bins], analytic, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "x", [two_formant_voice(seconds=10.0)[0].samples, np.eye(1, FS)[0]], ids=["voice", "impulse"]
+    )
+    def test_matches_rbj_biquad_cascade(self, x):
+        diff = np.max(np.abs(highpass(x, FS, 70.0) - _rbj_highpass(x, FS, 70.0)))
+        assert diff <= 1e-12 * np.max(np.abs(x))
 
     def test_zero_cutoff_is_identity(self):
         x = np.linspace(-1, 1, 100)
