@@ -24,16 +24,10 @@ MEL_INV_LAMBDA = 1e-5
 @dataclass(frozen=True)
 class GriffinLimConfig:
     n_iters: int = 60
-    init_phase: str = "zeros"  # "zeros" | "random"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_iters < 1:
             raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
-        if self.init_phase not in ("zeros", "random"):
-            raise ValueError(f"init_phase must be 'zeros' or 'random', got {self.init_phase!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -109,11 +103,7 @@ def griffin_lim(
     x = np.empty_like(envelope)
     x_frames = dsp.frame_signal(x, dsp.FrameSpec(win, hop, "rect"))
 
-    if cfg.init_phase == "zeros":
-        spectra[...] = target
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        np.multiply(target, np.exp(2j * np.pi * rng.random(target.shape)), out=spectra)
+    spectra[...] = target  # zero initial phase
     objective = np.empty(cfg.n_iters + 1)
     for it in range(cfg.n_iters + 1):
         np.fft.irfft(spectra, n=n_fft, axis=1, out=frames)

@@ -25,7 +25,7 @@ NON_DEFAULT_CONFIG = {
     "features": {"win_length": 512, "hop_length": 128, "window": "rect", "fmax": 7000.0,
                  "n_mels": 64},
     "rpm": {"seg_min": 5, "factor_hi": 1.2},
-    "griffin_lim": {"n_iters": 3, "init_phase": "random", "seed": 4},
+    "griffin_lim": {"n_iters": 3},
 }
 
 
@@ -540,7 +540,7 @@ class TestConfig:
                          "window": "hann", "n_mels": 80, "fmin": 0.0, "fmax": None,
                          "f0_min": 50.0, "f0_max": 500.0, "voicing_threshold": 0.3},
             "rpm": {"seg_min": 19, "seg_max": 32, "factor_lo": 0.5, "factor_hi": 1.5},
-            "griffin_lim": {"n_iters": 60, "init_phase": "zeros", "seed": 0},
+            "griffin_lim": {"n_iters": 60},
         }
         # json.dumps keeps insertion order, so this pins the key order too.
         assert json.dumps(config_as_dict(RunConfig())) == json.dumps(expected)
@@ -552,7 +552,7 @@ class TestConfig:
 
     def test_non_default_values_land_in_their_fields(self):
         cfg = build_run_config(NON_DEFAULT_CONFIG)
-        assert cfg.seed == cfg.rpm.seed == 7 and cfg.griffin_lim.seed == 4
+        assert cfg.seed == cfg.rpm.seed == 7
         assert cfg.audio.encoding == "float32"
         assert (cfg.features.frame.win_length, cfg.features.frame.hop_length) == (512, 128)
         assert cfg.features.frame.window == "rect" and cfg.features.n_fft == 1024
@@ -603,7 +603,7 @@ class TestConfig:
             build_run_config(doc)
 
     @pytest.mark.parametrize("doc, message", [
-        ({"griffin_lim": {"seed": -1}}, "griffin_lim: seed must be nonnegative, got -1"),
+        ({"griffin_lim": {"n_iters": 0}}, "griffin_lim: n_iters must be >= 1, got 0"),
         ({"iaif": {"window": "bogus"}}, "iaif: unknown window 'bogus', expected one of "),
         ({"features": {"window": "bogus"}}, "features: unknown window 'bogus', expected one of "),
         ({"audio": {"encoding": "pcm24"}}, "audio: encoding 'pcm24' not in "),
@@ -632,7 +632,7 @@ class TestConfig:
     "factor-0", "factor-nan", "factor-inf", "factor-lo-0", "factor-lo-nan-hi-nan",
     "factor-lo-above-hi", "factor-hi-below-config-lo", "config-wrong-type",
     "fmax-below-fmin", "fmax-zero", "n-fft-odd", "vt-order-not-above-glottal",
-    "config-duplicate-key", "rpm-not-object-with-flag",
+    "config-duplicate-key", "rpm-not-object-with-flag", "old-griffin-lim-keys",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     out = tmp_path / "out"
@@ -658,6 +658,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     repeated.write_text('{"seed": 1, "seed": 2, "rpm": {"seg_min": 5, "seg_min": 6}}')
     rpm_scalar = tmp_path / "rpm_scalar.json"
     rpm_scalar.write_text('{"rpm": 5}')
+    old = tmp_path / "old.json"
+    old.write_text('{"griffin_lim": {"n_iters": 60, "init_phase": "zeros", "seed": 0}}')
     wav = str(corpus.parent / "utt0.wav")
     augment = ["augment", str(corpus), "--out", str(out)]
     argv = {
@@ -681,6 +683,7 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "config-duplicate-key":
             ["features", str(corpus), "--out", str(out), "--config", str(repeated)],
         "rpm-not-object-with-flag": augment + ["--config", str(rpm_scalar), "--factor-lo", "0.9"],
+        "old-griffin-lim-keys": augment + ["--config", str(old)],
     }[case]
     assert main(argv) == 1
     assert not out.exists()
