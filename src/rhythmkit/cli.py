@@ -47,25 +47,13 @@ class AudioConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One section per stage config; build_run_config sets rpm.seed to seed."""
+    """The run-config document: one section per stage config, one key per field."""
 
-    seed: int = 0
     audio: AudioConfig = AudioConfig()
     iaif: IaifConfig = IaifConfig()
     features: FeatureConfig = FeatureConfig()
     rpm: RpmConfig = RpmConfig()
     griffin_lim: GriffinLimConfig = GriffinLimConfig()
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-
-
-def config_as_dict(cfg: RunConfig) -> dict:
-    """The config document: one key per field, less rpm.seed, which is the top-level seed."""
-    doc = asdict(cfg)
-    del doc["rpm"]["seed"]
-    return doc
 
 
 def _typed(value: Any, hint: Any, name: str) -> Any:
@@ -82,41 +70,32 @@ def _typed(value: Any, hint: Any, name: str) -> Any:
     return value
 
 
-def _from_doc(default: Any, doc: dict, where: str = "") -> Any:
-    """A copy of default with the fields doc names (checked by _check_keys) replaced."""
-    hints = get_type_hints(type(default))
-    changes = {}
-    for name, value in doc.items():
-        if is_dataclass(hints[name]):
-            try:
-                changes[name] = _from_doc(getattr(default, name), value, f"{name}.")
-            except ValueError as exc:  # the section's own range checks
-                raise ConfigError(f"{name}: {exc}") from exc
-        else:
-            changes[name] = _typed(value, hints[name], where + name)
-    return replace(default, **changes)
+def _from_doc(default: Any, doc: Any, where: str = "root") -> Any:
+    """A copy of the dataclass default with the fields doc names replaced.
 
-
-def _check_keys(doc: Any, schema: dict, where: str) -> None:
+    doc must be an object whose keys are default's fields; each value is
+    type-checked against its field's hint, and a dataclass field is parsed
+    as a section of its own, whose range errors are prefixed with its name."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {where} must be an object")
-    unknown = set(doc) - set(schema)
+        raise ConfigError(f"config {where} must be an object, got {type(doc).__name__}")
+    hints = get_type_hints(type(default))
+    unknown = set(doc) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in config {where}: {sorted(unknown)}")
-    for name, value in doc.items():
-        if isinstance(schema[name], dict):
-            _check_keys(value, schema[name], f"section {name!r}")
-
-
-def build_run_config(doc: dict) -> RunConfig:
-    """Strict-parse a config document; unknown keys and mistyped values are rejected."""
-    default = RunConfig()
-    _check_keys(doc, config_as_dict(default), "root")
+    changes = {
+        name: _from_doc(getattr(default, name), value, name) if is_dataclass(hints[name])
+        else _typed(value, hints[name], f"{where}.{name}")
+        for name, value in doc.items()
+    }
     try:
-        cfg = _from_doc(default, doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return replace(cfg, rpm=replace(cfg.rpm, seed=cfg.seed))
+        return replace(default, **changes)
+    except ValueError as exc:  # the section's own range checks
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def build_run_config(doc: Any) -> RunConfig:
+    """Strict-parse a config document; unknown keys and mistyped values are rejected."""
+    return _from_doc(RunConfig(), doc)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -129,21 +108,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return doc
 
 
-def load_run_config(path: str | None, seed: int | None, rpm: dict | None = None) -> RunConfig:
-    """Parse the config file with the given --seed and rpm flag values laid over it."""
-    doc: dict = {}
+def load_run_config(path: str | None, rpm: dict | None = None) -> RunConfig:
+    """Parse the config file with the rpm flag values that are not None laid over it."""
+    doc: Any = {}
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8-sig")
             doc = json.loads(text, object_pairs_hook=_unique_keys)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    if seed is not None:
-        doc = {**doc, "seed": seed}
     flags = {name: value for name, value in (rpm or {}).items() if value is not None}
-    if flags and isinstance(doc.get("rpm", {}), dict):
+    if flags and isinstance(doc, dict) and isinstance(doc.get("rpm", {}), dict):
         doc = {**doc, "rpm": {**doc.get("rpm", {}), **flags}}
     return build_run_config(doc)
 
@@ -190,7 +165,7 @@ def _run_manifest(
     # Written before any output file so every run directory is self-describing.
     out_dir.mkdir(parents=True, exist_ok=True)
     audio_io.write_file(
-        out_dir / "config.effective.json", json.dumps(config_as_dict(cfg), indent=2) + "\n"
+        out_dir / "config.effective.json", json.dumps(asdict(cfg), indent=2) + "\n"
     )
     selected = select(entries)
     if not selected:
@@ -207,7 +182,7 @@ def _run_manifest(
 
 
 def cmd_glottal(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args.seed)
+    cfg = load_run_config(args.config)
 
     def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> bool:
         result = extract_glottal_flow(buf, cfg.iaif)
@@ -221,7 +196,7 @@ def cmd_glottal(args: argparse.Namespace) -> int:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args.seed)
+    cfg = load_run_config(args.config)
 
     def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> bool:
         bundle = extract_features(buf, cfg.features)
@@ -233,7 +208,8 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     cfg = load_run_config(
-        args.config, args.seed, {"factor_lo": args.factor_lo, "factor_hi": args.factor_hi}
+        args.config,
+        {"seed": args.seed, "factor_lo": args.factor_lo, "factor_hi": args.factor_hi},
     )
     spoof_manifest = Path(args.out) / "manifest.tsv"
     if spoof_manifest.exists() and spoof_manifest.samefile(args.manifest):
@@ -309,13 +285,12 @@ def _positive_float(text: str) -> float:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits 2
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run config (strict keys)")
-    common.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
     common.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker count")
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("manifest")
@@ -331,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", parents=[common], help="copy-synthesize bonafide entries")
     p.add_argument("--rpm", choices=("on", "off"), default="on")
+    p.add_argument("--seed", type=_int_at_least(0), help="override rpm.seed")
     p.add_argument("--factor-lo", type=_positive_float, default=None)
     p.add_argument("--factor-hi", type=_positive_float, default=None)
     p.add_argument("--save-features", action="store_true")

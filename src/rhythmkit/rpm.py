@@ -74,6 +74,8 @@ class RpmConfig:
             raise ValueError(
                 f"need 0 < factor_lo <= factor_hi, got [{self.factor_lo}, {self.factor_hi}]"
             )
+        if not 0 <= self.seed < 2**64:  # rng_for_utterance keeps only 64 bits
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,17 +15,16 @@ import pytest
 
 from conftest import am_harmonic_signal, two_formant_voice
 from rhythmkit import audio_io, cli
-from rhythmkit.cli import RunConfig, build_run_config, config_as_dict, main, ConfigError
+from rhythmkit.cli import RunConfig, build_run_config, main, ConfigError
 from test_audio_io import HOSTILE_WAVS, _raw_wav
 from test_evaluation import eer_oracle
 
 NON_DEFAULT_CONFIG = {
-    "seed": 7,
     "audio": {"encoding": "float32"},
     "iaif": {"vocal_tract_order": 20, "window": "hamming"},
     "features": {"win_length": 512, "hop_length": 128, "window": "rect", "fmax": 7000.0,
                  "n_mels": 64},
-    "rpm": {"seg_min": 5, "factor_hi": 1.2},
+    "rpm": {"seg_min": 5, "factor_hi": 1.2, "seed": 7},
     "griffin_lim": {"n_iters": 3},
 }
 
@@ -285,6 +285,19 @@ class TestAugmentCommand:
         entries = audio_io.read_manifest(out / "manifest.tsv")
         assert [e.attack for e in entries] == ["RPM"] * 3
 
+    def test_echo_as_config_reproduces_every_file(self, corpus, tmp_path):
+        first, second = tmp_path / "flags", tmp_path / "echo"
+        assert main(["augment", str(corpus), "--out", str(first), "--save-features",
+                     "--seed", "7", "--factor-lo", "0.9", "--factor-hi", "1.1",
+                     "--config", str(_fast_config(tmp_path))]) == 0
+        echo = first / "config.effective.json"
+        assert main(["augment", str(corpus), "--out", str(second), "--save-features",
+                     "--config", str(echo)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
     def test_save_features(self, corpus, tmp_path):
         out = tmp_path / "withfeat"
         main(
@@ -455,9 +468,9 @@ class TestConfig:
 
     def test_bom_config_loads(self, tmp_path):
         path = tmp_path / "run.json"
-        path.write_bytes(b"\xef\xbb\xbf" + b'{"seed": 3, "rpm": {"seg_min": 5}}')
-        cfg = cli.load_run_config(str(path), None)
-        assert cfg.seed == 3 and cfg.rpm.seg_min == 5
+        path.write_bytes(b"\xef\xbb\xbf" + b'{"rpm": {"seg_min": 5, "seed": 3}}')
+        cfg = cli.load_run_config(str(path))
+        assert cfg.rpm.seed == 3 and cfg.rpm.seg_min == 5
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -469,11 +482,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_run_config({"rpm": {"factor_lo": 0.0}})
         with pytest.raises(ConfigError):
-            build_run_config({"seed": -3})
+            build_run_config({"rpm": {"seed": -3}})
 
-    def test_seed_propagates_to_rpm(self):
-        cfg = build_run_config({"seed": 123})
-        assert cfg.rpm.seed == 123
+    def test_seed_propagates_to_rpm(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"rpm": {"seg_min": 5, "seed": 3}}')
+        cfg = cli.load_run_config(str(path), {"seed": 123, "factor_lo": None})
+        assert (cfg.rpm.seed, cfg.rpm.seg_min, cfg.rpm.factor_lo) == (123, 5, 0.5)
+        assert cli.load_run_config(str(path), {"seed": None}).rpm.seed == 3
 
     def test_cli_exit_codes(self, corpus, tmp_path):
         bad = tmp_path / "bad.json"
@@ -488,7 +504,7 @@ class TestConfig:
         path = tmp_path / "run.json"
         path.write_text(doc)
         with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
-            cli.load_run_config(str(path), None)
+            cli.load_run_config(str(path))
 
     def test_highpass_above_nyquist_fails_each_file(self, corpus, tmp_path, caplog):
         cfg = tmp_path / "hp.json"
@@ -510,9 +526,10 @@ class TestConfig:
                                       ["--jobs", "two"]])
     def test_bad_flags_rejected_at_parse(self, corpus, tmp_path, flag, capsys):
         out = tmp_path / "o"
-        assert main(["glottal", str(corpus), "--out", str(out)] + flag) == 1
+        command = "augment" if flag[0] == "--seed" else "glottal"  # --seed is augment's alone
+        assert main([command, str(corpus), "--out", str(out)] + flag) == 1
         assert not out.exists()
-        assert flag[0] in capsys.readouterr().err
+        assert f"error: argument {flag[0]}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("utt_id", ["../escaped", "a/b", "a\\b", "..", ".", "", "a\x00b"])
     def test_manifest_ids_stay_inside_out(self, corpus, tmp_path, utt_id):
@@ -528,31 +545,30 @@ class TestConfig:
         main(["features", str(corpus), "--out", str(out)])
         doc = json.loads((out / "config.effective.json").read_text())
         assert doc["features"]["n_mels"] == 80
-        assert doc["seed"] == 0
+        assert doc["rpm"]["seed"] == 0
 
     def test_echo_lists_every_key_in_document_order(self):
         expected = {
-            "seed": 0,
             "audio": {"encoding": "pcm16"},
             "iaif": {"vocal_tract_order": None, "glottal_order": 4, "lip_d": 0.99,
                      "win_ms": 25.0, "hop_ms": 5.0, "window": "hann", "highpass_cutoff": 70.0},
             "features": {"n_fft": 1024, "win_length": 1024, "hop_length": 256,
                          "window": "hann", "n_mels": 80, "fmin": 0.0, "fmax": None,
                          "f0_min": 50.0, "f0_max": 500.0, "voicing_threshold": 0.3},
-            "rpm": {"seg_min": 19, "seg_max": 32, "factor_lo": 0.5, "factor_hi": 1.5},
+            "rpm": {"seg_min": 19, "seg_max": 32, "factor_lo": 0.5, "factor_hi": 1.5, "seed": 0},
             "griffin_lim": {"n_iters": 60},
         }
         # json.dumps keeps insertion order, so this pins the key order too.
-        assert json.dumps(config_as_dict(RunConfig())) == json.dumps(expected)
+        assert json.dumps(asdict(RunConfig())) == json.dumps(expected)
 
     @pytest.mark.parametrize("doc", [{}, NON_DEFAULT_CONFIG])
     def test_echo_round_trips(self, doc):
         cfg = build_run_config(doc)
-        assert build_run_config(config_as_dict(cfg)) == cfg
+        assert build_run_config(asdict(cfg)) == cfg
 
     def test_non_default_values_land_in_their_fields(self):
         cfg = build_run_config(NON_DEFAULT_CONFIG)
-        assert cfg.seed == cfg.rpm.seed == 7
+        assert cfg.rpm.seed == 7
         assert cfg.audio.encoding == "float32"
         assert (cfg.features.frame.win_length, cfg.features.frame.hop_length) == (512, 128)
         assert cfg.features.frame.window == "rect" and cfg.features.n_fft == 1024
@@ -571,9 +587,11 @@ class TestConfig:
         {"features": {"n_mels": 40.5}},
         {"iaif": {"glottal_order": 4.5}},
         {"rpm": {"seg_min": 2.5}},
-        {"rpm": {"seed": 3}},
-        {"seed": True},
-        {"seed": 1.0},
+        {"seed": 3},
+        {"rpm": {"seed": True}},
+        {"rpm": {"seed": 1.0}},
+        {"rpm": {"seed": -1}},
+        {"rpm": {"seed": 2**64}},
         {"iaif": {"window": None}},
         {"features": {"fmax": "7000"}},
         {"features": {"n_fft": False}},
@@ -617,7 +635,7 @@ class TestConfig:
         section = README.read_text(encoding="utf-8").split("### Run config\n", 1)[1]
         doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
         build_run_config(doc)
-        assert _key_tree(doc) == _key_tree(config_as_dict(RunConfig()))
+        assert _key_tree(doc) == _key_tree(asdict(RunConfig()))
 
     def test_ints_for_floats_and_null_where_default_is_null(self):
         cfg = build_run_config({"rpm": {"factor_lo": 1, "factor_hi": 2},
@@ -632,7 +650,9 @@ class TestConfig:
     "factor-0", "factor-nan", "factor-inf", "factor-lo-0", "factor-lo-nan-hi-nan",
     "factor-lo-above-hi", "factor-hi-below-config-lo", "config-wrong-type",
     "fmax-below-fmin", "fmax-zero", "n-fft-odd", "vt-order-not-above-glottal",
-    "config-duplicate-key", "rpm-not-object-with-flag", "old-griffin-lim-keys",
+    "config-duplicate-key", "rpm-not-object-with-flag", "root-not-object-with-flag",
+    "old-griffin-lim-keys",
+    "old-top-level-seed", "seed-2-to-the-64", "seed-on-glottal", "seed-on-features",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     out = tmp_path / "out"
@@ -658,8 +678,12 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     repeated.write_text('{"seed": 1, "seed": 2, "rpm": {"seg_min": 5, "seg_min": 6}}')
     rpm_scalar = tmp_path / "rpm_scalar.json"
     rpm_scalar.write_text('{"rpm": 5}')
+    root_list = tmp_path / "root_list.json"
+    root_list.write_text('[{"rpm": {"seed": 3}}]')
     old = tmp_path / "old.json"
     old.write_text('{"griffin_lim": {"n_iters": 60, "init_phase": "zeros", "seed": 0}}')
+    top_seed = tmp_path / "top_seed.json"
+    top_seed.write_text('{"seed": 7, "rpm": {"seg_min": 19}}')
     wav = str(corpus.parent / "utt0.wav")
     augment = ["augment", str(corpus), "--out", str(out)]
     argv = {
@@ -683,7 +707,12 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "config-duplicate-key":
             ["features", str(corpus), "--out", str(out), "--config", str(repeated)],
         "rpm-not-object-with-flag": augment + ["--config", str(rpm_scalar), "--factor-lo", "0.9"],
+        "root-not-object-with-flag": augment + ["--config", str(root_list), "--seed", "3"],
         "old-griffin-lim-keys": augment + ["--config", str(old)],
+        "old-top-level-seed": augment + ["--config", str(top_seed)],
+        "seed-2-to-the-64": augment + ["--seed", str(2**64)],
+        "seed-on-glottal": ["glottal", str(corpus), "--out", str(out), "--seed", "5"],
+        "seed-on-features": ["features", str(corpus), "--out", str(out), "--seed", "5"],
     }[case]
     assert main(argv) == 1
     assert not out.exists()
