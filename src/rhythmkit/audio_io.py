@@ -42,7 +42,7 @@ BONAFIDE_ATTACK = "-"
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated == would compare arrays
 class AudioBuffer:
     """Mono signal: float64 samples in [-1, 1] plus sample rate in Hz."""
 

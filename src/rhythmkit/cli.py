@@ -127,24 +127,23 @@ def _run_batch(
     entries: list[ManifestEntry],
     worker: Callable[[ManifestEntry], Any],
     jobs: int,
-) -> tuple[list[Any], int]:
+) -> list[Any]:
     """Apply worker to each entry on a pool of jobs threads; any Exception
     fails only its own entry and is logged with its type name.
 
     On KeyboardInterrupt the files in flight finish, the rest never start and
     the interrupt propagates.  Results come back in manifest order; a failed
-    entry leaves None in its slot."""
+    entry's slot holds its exception."""
 
     def guarded(entry: ManifestEntry) -> Any:
         try:
             return worker(entry)
         except Exception as exc:
             log.error("%s: %s: %s", entry.utt_id, type(exc).__name__, exc)
-            return None
+            return exc
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(guarded, entries))
-    return results, sum(r is None for r in results)
+        return list(pool.map(guarded, entries))
 
 
 def _run_manifest(
@@ -176,21 +175,20 @@ def _run_manifest(
         # Relative to the manifest's directory; an absolute path replaces it.
         return worker(entry, audio_io.read_wav(manifest_path.parent / entry.path), out_dir)
 
-    results, failures = _run_batch(selected, run, args.jobs)
-    log.info("%s: %d/%d files ok", label, len(selected) - failures, len(selected))
-    return (EXIT_PARTIAL if failures else EXIT_OK), [r for r in results if r is not None]
+    results = [r for r in _run_batch(selected, run, args.jobs) if not isinstance(r, Exception)]
+    log.info("%s: %d/%d files ok", label, len(results), len(selected))
+    return (EXIT_PARTIAL if len(results) < len(selected) else EXIT_OK), results
 
 
 def cmd_glottal(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
 
-    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> bool:
+    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> None:
         result = extract_glottal_flow(buf, cfg.iaif)
         audio_io.write_wav(out_dir / f"{entry.utt_id}.glottal.wav", result.flow, cfg.audio.encoding)
         if result.unstable_frames:
             log.warning("%s: unstable LPC in %d of %d frames; passed them through raw",
                         entry.utt_id, result.unstable_frames, result.total_frames)
-        return True
 
     return _run_manifest(args, cfg, "glottal", worker)[0]
 
@@ -198,10 +196,9 @@ def cmd_glottal(args: argparse.Namespace) -> int:
 def cmd_features(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
 
-    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> bool:
+    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> None:
         bundle = extract_features(buf, cfg.features)
         audio_io.write_features(out_dir / f"{entry.utt_id}.rfb", bundle)
-        return True
 
     return _run_manifest(args, cfg, "features", worker)[0]
 

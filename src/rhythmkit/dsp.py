@@ -31,7 +31,6 @@ OLA_ENVELOPE_FLOOR = 1e-8
 # Periodic (DFT-even) cosine windows a - b*cos(2*pi*n/N): name -> (a, b).
 WINDOW_KINDS: dict[str, tuple[float, float]] = {
     "hann": (0.5, 0.5),
-    "hamming": (0.54, 0.46),
     "rect": (1.0, 0.0),
 }
 
@@ -63,7 +62,7 @@ class FrameSpec:
         return a - b * np.cos(2.0 * np.pi * np.arange(self.win_length) / self.win_length)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated == would compare arrays
 class LpcModel:
     """All-pole model A(z) = 1 + sum_k coeffs[k-1] z^-k with residual gain.
 
@@ -90,7 +89,7 @@ class LpcModel:
             raise ValueError(f"gain must be finite and nonnegative, got {self.gain}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated == would compare arrays
 class LpcRows:
     """Levinson solutions for a stack of autocorrelation rows.
 

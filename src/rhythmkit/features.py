@@ -30,7 +30,6 @@ class FeatureConfig:
     n_fft: int = 1024
     win_length: int = 1024
     hop_length: int = 256
-    window: str = "hann"
     n_mels: int = 80
     fmin: float = 0.0
     fmax: float | None = None  # None -> Nyquist
@@ -39,7 +38,7 @@ class FeatureConfig:
     voicing_threshold: float = 0.3
 
     def __post_init__(self) -> None:
-        frame = self.frame  # FrameSpec checks win_length, hop_length and window
+        frame = self.frame  # FrameSpec checks win_length and hop_length
         # Griffin-Lim recovers n_fft from the rfft bin count, which only an even n_fft gives back.
         if self.n_fft % 2:
             raise ValueError(f"n_fft must be even, got {self.n_fft}")
@@ -58,7 +57,7 @@ class FeatureConfig:
 
     @property
     def frame(self) -> dsp.FrameSpec:
-        return dsp.FrameSpec(self.win_length, self.hop_length, self.window)
+        return dsp.FrameSpec(self.win_length, self.hop_length)
 
     def effective_fmax(self, sample_rate: int) -> float:
         nyquist = sample_rate / 2.0

@@ -36,7 +36,6 @@ class IaifConfig:
     lip_d: float = 0.99
     win_ms: float = 25.0
     hop_ms: float = 5.0
-    window: str = "hann"
     highpass_cutoff: float = 70.0
 
     def __post_init__(self) -> None:
@@ -53,8 +52,6 @@ class IaifConfig:
             raise ValueError(f"need 0 < hop_ms <= win_ms, got hop={self.hop_ms} win={self.win_ms}")
         if self.highpass_cutoff < 0:
             raise ValueError(f"highpass_cutoff must be nonnegative, got {self.highpass_cutoff}")
-        if self.window not in dsp.WINDOW_KINDS:
-            raise ValueError(f"unknown window {self.window!r}, expected one of {list(dsp.WINDOW_KINDS)}")
 
     def tract_order(self, sample_rate: int) -> int:
         p = self.vocal_tract_order
@@ -70,7 +67,7 @@ class IaifConfig:
                 raise ValueError(
                     f"iaif.{key} = {ms} rounds to 0 samples at sample rate {sample_rate} Hz"
                 )
-        spec = dsp.FrameSpec(win, hop, self.window)
+        spec = dsp.FrameSpec(win, hop)
         p = self.tract_order(sample_rate)
         if not 0 < self.glottal_order < p < win:
             raise ValueError(
@@ -80,14 +77,14 @@ class IaifConfig:
         return spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated == would compare arrays
 class GlottalFrameResult:
     glottal: np.ndarray
     vocal_tract: dsp.LpcModel
     glottal_source_model: dsp.LpcModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, like the AudioBuffer it holds
 class GlottalFlowResult:
     flow: AudioBuffer
     unstable_frames: int

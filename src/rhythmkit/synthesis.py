@@ -30,7 +30,7 @@ class GriffinLimConfig:
             raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated == would compare arrays
 class GriffinLimResult:
     audio: AudioBuffer
     # Spectral distance || |STFT(x_k)| - target || after each iteration,
@@ -38,7 +38,7 @@ class GriffinLimResult:
     objective: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, like the AudioBuffer it holds
 class CopySynthesisResult:
     audio: AudioBuffer
     plan: SegmentPlan | None

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rhythmkit import audio_io
+from rhythmkit import audio_io, dsp
 from rhythmkit.audio_io import MANIFEST_KEYS, AudioBuffer, ManifestEntry
 from rhythmkit.errors import (
     BadMagicError,
@@ -20,6 +20,8 @@ from rhythmkit.errors import (
     VersionMismatchError,
 )
 from rhythmkit.features import FeatureBundle
+from rhythmkit.glottal import GlottalFlowResult, GlottalFrameResult
+from rhythmkit.synthesis import CopySynthesisResult, GriffinLimResult
 
 
 def _raw_wav(fmt_code, channels, rate, bits, payload):
@@ -276,6 +278,36 @@ class TestAudioBuffer:
             audio_io.write_wav(path, buf, "float32")
             back = audio_io.read_wav(path)
             assert len(back) == n and back.sample_rate == rate
+
+
+def _lpc():
+    return dsp.LpcModel(order=2, coeffs=np.zeros(2), gain=1.0)
+
+
+def _buf():
+    return AudioBuffer(np.zeros(4), 16000)
+
+
+# Every result type that holds an array: == compares identity, as ScoreSet's does.
+ARRAY_HOLDERS = {
+    "AudioBuffer": _buf,
+    "LpcModel": _lpc,
+    "LpcRows": lambda: dsp.LpcRows(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1),
+                                   np.zeros(1, dtype=bool)),
+    "GlottalFrameResult": lambda: GlottalFrameResult(np.zeros(4), _lpc(), _lpc()),
+    "GlottalFlowResult": lambda: GlottalFlowResult(_buf(), 0, 1),
+    "GriffinLimResult": lambda: GriffinLimResult(_buf(), np.zeros(3)),
+    "CopySynthesisResult": lambda: CopySynthesisResult(
+        _buf(), None, FeatureBundle(np.zeros((2, 3)), np.zeros(2), 16000.0, 256, 1024)),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_eq_in_and_hash_do_not_raise(make):
+    a, b = make(), make()
+    assert a == a and a != b  # no elementwise ==
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def _any_row(columns):

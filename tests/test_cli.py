@@ -1,6 +1,8 @@
+import argparse
 import importlib
 import importlib.util
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -15,15 +17,16 @@ import pytest
 
 from conftest import am_harmonic_signal, two_formant_voice
 from rhythmkit import audio_io, cli
+from rhythmkit.audio_io import ManifestEntry
 from rhythmkit.cli import RunConfig, build_run_config, main, ConfigError
 from test_audio_io import HOSTILE_WAVS, _raw_wav
 from test_evaluation import eer_oracle
 
 NON_DEFAULT_CONFIG = {
     "audio": {"encoding": "float32"},
-    "iaif": {"vocal_tract_order": 20, "window": "hamming"},
-    "features": {"win_length": 512, "hop_length": 128, "window": "rect", "fmax": 7000.0,
-                 "n_mels": 64},
+    "iaif": {"vocal_tract_order": 20, "lip_d": 0.98},
+    "features": {"win_length": 512, "hop_length": 128, "fmax": 7000.0, "n_mels": 64,
+                 "f0_min": 60.0},
     "rpm": {"seg_min": 5, "factor_hi": 1.2, "seed": 7},
     "griffin_lim": {"n_iters": 3},
 }
@@ -161,6 +164,26 @@ class TestBatchErrors:
         assert main(argv) == 2
         entries = audio_io.read_manifest(out / "manifest.tsv")
         assert [e.utt_id for e in entries] == ["utt0", "utt2", "utt3"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_returning_none_succeeds(self, corpus, tmp_path, caplog, jobs):
+        args = argparse.Namespace(manifest=str(corpus), out=str(tmp_path / "out"), jobs=jobs)
+        with caplog.at_level(logging.INFO, logger="rhythmkit"):
+            code, results = cli._run_manifest(args, RunConfig(), "noop", lambda *_: None)
+        assert (code, results) == (cli.EXIT_OK, [None] * 4)
+        assert "noop: 4/4 files ok" in caplog.messages
+        assert not [rec for rec in caplog.records if rec.levelno >= logging.WARNING]
+
+    def test_failed_slot_holds_its_exception(self):
+        entries = [ManifestEntry(utt_id, f"{utt_id}.wav", "bonafide", "-") for utt_id in "abc"]
+        exc = ValueError("bad")
+
+        def worker(entry):
+            if entry.utt_id == "b":
+                raise exc
+            return entry.utt_id
+
+        assert cli._run_batch(entries, worker, 2) == ["a", exc, "c"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_keyboard_interrupt_aborts(self, corpus, tmp_path, monkeypatch, jobs):
@@ -551,9 +574,9 @@ class TestConfig:
         expected = {
             "audio": {"encoding": "pcm16"},
             "iaif": {"vocal_tract_order": None, "glottal_order": 4, "lip_d": 0.99,
-                     "win_ms": 25.0, "hop_ms": 5.0, "window": "hann", "highpass_cutoff": 70.0},
+                     "win_ms": 25.0, "hop_ms": 5.0, "highpass_cutoff": 70.0},
             "features": {"n_fft": 1024, "win_length": 1024, "hop_length": 256,
-                         "window": "hann", "n_mels": 80, "fmin": 0.0, "fmax": None,
+                         "n_mels": 80, "fmin": 0.0, "fmax": None,
                          "f0_min": 50.0, "f0_max": 500.0, "voicing_threshold": 0.3},
             "rpm": {"seg_min": 19, "seg_max": 32, "factor_lo": 0.5, "factor_hi": 1.5, "seed": 0},
             "griffin_lim": {"n_iters": 60},
@@ -571,8 +594,8 @@ class TestConfig:
         assert cfg.rpm.seed == 7
         assert cfg.audio.encoding == "float32"
         assert (cfg.features.frame.win_length, cfg.features.frame.hop_length) == (512, 128)
-        assert cfg.features.frame.window == "rect" and cfg.features.n_fft == 1024
-        assert cfg.iaif.vocal_tract_order == 20 and cfg.iaif.window == "hamming"
+        assert (cfg.features.n_mels, cfg.features.f0_min, cfg.features.n_fft) == (64, 60.0, 1024)
+        assert (cfg.iaif.vocal_tract_order, cfg.iaif.lip_d) == (20, 0.98)
         assert (cfg.rpm.seg_min, cfg.rpm.seg_max, cfg.rpm.factor_hi) == (5, 32, 1.2)
 
     def test_build_does_not_mutate_its_input(self):
@@ -622,8 +645,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("doc, message", [
         ({"griffin_lim": {"n_iters": 0}}, "griffin_lim: n_iters must be >= 1, got 0"),
-        ({"iaif": {"window": "bogus"}}, "iaif: unknown window 'bogus', expected one of "),
-        ({"features": {"window": "bogus"}}, "features: unknown window 'bogus', expected one of "),
+        ({"iaif": {"lip_d": 1.5}}, "iaif: lip_d must lie in (0, 1), got 1.5"),
+        ({"features": {"n_mels": 0}}, "features: n_mels must be positive, got 0"),
         ({"audio": {"encoding": "pcm24"}}, "audio: encoding 'pcm24' not in "),
     ])
     def test_range_error_names_its_section(self, doc, message):
@@ -636,6 +659,10 @@ class TestConfig:
         doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
         build_run_config(doc)
         assert _key_tree(doc) == _key_tree(asdict(RunConfig()))
+
+    def test_readme_python_example_runs(self):
+        section = README.read_text(encoding="utf-8").split("## Library\n", 1)[1]
+        exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
 
     def test_ints_for_floats_and_null_where_default_is_null(self):
         cfg = build_run_config({"rpm": {"factor_lo": 1, "factor_hi": 2},
@@ -651,7 +678,7 @@ class TestConfig:
     "factor-lo-above-hi", "factor-hi-below-config-lo", "config-wrong-type",
     "fmax-below-fmin", "fmax-zero", "n-fft-odd", "vt-order-not-above-glottal",
     "config-duplicate-key", "rpm-not-object-with-flag", "root-not-object-with-flag",
-    "old-griffin-lim-keys",
+    "old-griffin-lim-keys", "old-window-keys",
     "old-top-level-seed", "seed-2-to-the-64", "seed-on-glottal", "seed-on-features",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
@@ -682,6 +709,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     root_list.write_text('[{"rpm": {"seed": 3}}]')
     old = tmp_path / "old.json"
     old.write_text('{"griffin_lim": {"n_iters": 60, "init_phase": "zeros", "seed": 0}}')
+    old_window = tmp_path / "old_window.json"
+    old_window.write_text('{"iaif": {"window": "hann"}}')
     top_seed = tmp_path / "top_seed.json"
     top_seed.write_text('{"seed": 7, "rpm": {"seg_min": 19}}')
     wav = str(corpus.parent / "utt0.wav")
@@ -709,6 +738,7 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "rpm-not-object-with-flag": augment + ["--config", str(rpm_scalar), "--factor-lo", "0.9"],
         "root-not-object-with-flag": augment + ["--config", str(root_list), "--seed", "3"],
         "old-griffin-lim-keys": augment + ["--config", str(old)],
+        "old-window-keys": ["glottal", str(corpus), "--out", str(out), "--config", str(old_window)],
         "old-top-level-seed": augment + ["--config", str(top_seed)],
         "seed-2-to-the-64": augment + ["--seed", str(2**64)],
         "seed-on-glottal": ["glottal", str(corpus), "--out", str(out), "--seed", "5"],

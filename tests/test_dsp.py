@@ -68,7 +68,7 @@ class TestOverlapAdd:
     @pytest.mark.parametrize("win,hop", [(8, 8), (10, 3), (64, 16), (7, 1)])
     def test_matches_per_frame_loop(self, win, hop):
         rng = np.random.default_rng(win * hop)
-        spec = dsp.FrameSpec(win, hop, "hamming")
+        spec = dsp.FrameSpec(win, hop, "hann")
         frames = rng.standard_normal((9, win))
         out = np.zeros((9 - 1) * hop + win)
         env = np.zeros_like(out)

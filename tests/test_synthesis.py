@@ -123,7 +123,7 @@ class TestGriffinLim:
 
     @pytest.mark.parametrize("order", ["C", "F"])  # mel_to_linear returns F order
     def test_window_shorter_than_n_fft_matches_reference(self, order):
-        cfg = FeatureConfig(win_length=800, hop_length=200, window="hann")
+        cfg = FeatureConfig(win_length=800, hop_length=200)
         mags = stft_magnitude(am_harmonic_signal(seed=4, seconds=0.5), cfg)
         mags = np.asarray(mags, order=order)
         gl = GriffinLimConfig(n_iters=8)
