@@ -64,7 +64,7 @@ class AudioBuffer:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # its own value ==, so unhashable
 class FeatureBundle:
     """Time-aligned log-mel frames and F0 track plus the framing metadata."""
 

@@ -3,14 +3,17 @@
 Per frame, alternating low-order source and high-order vocal-tract LPC
 estimates strip the vocal tract and lip radiation from the speech signal
 (IAIF, Alku 1992); the residual source frames are hann-weighted and
-overlap-added into one utterance-level glottal flow.  Every stage runs as one
-array operation over a block of frames; as integration and inverse filtering
-commute, each block is integrated once, not once per integrating stage.
+overlap-added into one utterance-level glottal flow.  IAIF runs stage by
+stage: each LPC stage computes its rows chunk by chunk and solves Levinson
+once per utterance.  As integration and inverse filtering commute, the
+utterance is integrated once, and each frame's integral from zero state is
+derived from that whole-signal integral.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -19,8 +22,9 @@ from . import dsp
 from .audio_io import AudioBuffer
 from .errors import UnstableFrameError
 
-# Frames per IAIF block: bounds the per-stage frame stacks, so peak memory does
-# not grow with utterance length beyond the output itself.
+# Frames per IAIF chunk: bounds the filter and autocorrelation stacks, so memory
+# grows with utterance length only by the output, the whole-signal integral and
+# one row of LPC lags per frame and stage.
 IAIF_BLOCK_FRAMES = 256
 
 
@@ -109,49 +113,80 @@ def highpass(x: np.ndarray, sample_rate: int, cutoff: float) -> np.ndarray:
     return sosfilt(_highpass_sos(sample_rate, cutoff), np.asarray(x, dtype=np.float64))
 
 
-def _lpc_rows(frames: np.ndarray, window: np.ndarray, order: int) -> dsp.LpcRows:
-    """LPC model of each row: windowed autocorrelation analysis.
-
-    Silent rows (zero energy) get the zero-coefficient identity model, so the
-    surrounding stage sequence degrades to a pass-through.
+def _integrated_frames(
+    integral: np.ndarray, spec: dsp.FrameSpec, lip_d: float
+) -> Callable[[np.ndarray, int], None]:
+    """fill(out, lo) writes frames lo, lo+1, ... of x, each leaky-integrated from
+    zero state, into the rows of out.  integral = dsp.leaky_integrate(x, lip_d);
+    the frame that starts at sample s integrates to
+    integral[s:s+win] - lip_d**(1..win) * integral[s-1], with integral[-1] = 0.
     """
-    return dsp.levinson_rows(dsp.autocorrelation(frames * window, order), order)
+    hop = spec.hop_length
+    summed = dsp.frame_signal(integral, replace(spec, window="rect"))
+    carry = np.zeros(len(summed))
+    carry[1:] = integral[hop - 1 : (len(summed) - 1) * hop : hop]
+    decay = lip_d ** np.arange(1.0, spec.win_length + 1)
+
+    def fill(out: np.ndarray, lo: int) -> None:
+        hi = lo + len(out)
+        np.einsum("i,j->ij", carry[lo:hi], decay, out=out)
+        np.subtract(summed[lo:hi], out, out=out)
+
+    return fill
 
 
-def _iaif_rows(
-    frames: np.ndarray, cfg: IaifConfig, tract_order: int, window: np.ndarray
-) -> tuple[np.ndarray, dsp.LpcRows, dsp.LpcRows, np.ndarray]:
-    """IAIF on a (rows, win) stack of raw frames, every stage over all rows.
+def _iaif(
+    x: np.ndarray, integral: np.ndarray, cfg: IaifConfig, spec: dsp.FrameSpec, tract_order: int
+) -> tuple[dsp.LpcRows, dsp.LpcRows, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """IAIF (stages as in iaif_frame) on every frame of x, one stage at a time;
+    integral is dsp.leaky_integrate(x, cfg.lip_d).
 
-    The block is zero-padded once with tract_order columns of history (which
-    stay exactly zero under the integrator) and integrated once: inverse
-    filter and leaky integrator are linear and time-invariant from zero
-    state, so they commute, and each stage slices the history it needs.
+    Each stage fills one (frames, order+1) autocorrelation array chunk by
+    chunk, then solves Levinson once for all frames.  Every chunk's frames go
+    through one reused buffer behind tract_order zero history columns.
 
-    Returns the glottal rows, the final vocal-tract and glottal-source
-    models, and the mask of rows whose LPC went unstable at some stage; an
-    unstable row's models are zeroed from that stage on, so its glottal row
-    is finite but meaningless.
+    Returns the final vocal-tract and glottal-source models, the mask of
+    frames whose LPC went unstable at some stage (their models are zeroed
+    from that stage on), and a lazy iterator of (first frame, glottal rows)
+    per chunk, in which an unstable frame's row is the raw frame.
     """
-    padded = np.pad(frames, ((0, 0), (tract_order, 0)))
-    integrated = dsp.leaky_integrate(padded, cfg.lip_d)
-    tilt = _lpc_rows(frames, window, 1)
-    y1 = dsp.inverse_filter_rows(padded[:, tract_order - 1 :], tilt.coeffs)
+    p = tract_order
+    raw = dsp.frame_signal(x, replace(spec, window="rect"))
+    n, size = len(raw), min(len(raw), IAIF_BLOCK_FRAMES)
+    chunks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    padded = np.zeros((size, p + spec.win_length))
+    windowed = np.empty((size, spec.win_length))
+    window = spec.window_array()
+    integrate = _integrated_frames(integral, spec, cfg.lip_d)
 
-    vt1 = _lpc_rows(y1, window, tract_order)
-    del y1
-    g1 = dsp.inverse_filter_rows(integrated, vt1.coeffs)
+    def filtered(coeffs: np.ndarray, lo: int, hi: int, integrated: bool = True) -> np.ndarray:
+        if integrated:
+            integrate(padded[: hi - lo, p:], lo)
+        else:
+            padded[: hi - lo, p:] = raw[lo:hi]
+        return dsp.inverse_filter_rows(padded[: hi - lo, p - coeffs.shape[1] :], coeffs[lo:hi])
 
-    source = _lpc_rows(g1, window, cfg.glottal_order)
-    del g1
-    y2 = dsp.inverse_filter_rows(integrated[:, tract_order - cfg.glottal_order :], source.coeffs)
+    def lpc(order: int, stage_rows: Callable[[int, int], np.ndarray]) -> dsp.LpcRows:
+        r = np.empty((n, order + 1))
+        for lo, hi in chunks:
+            np.multiply(stage_rows(lo, hi), window, out=windowed[: hi - lo])
+            r[lo:hi] = dsp.autocorrelation(windowed[: hi - lo], order)
+        return dsp.levinson_rows(r, order)
 
-    vt2 = _lpc_rows(y2, window, tract_order)
-    del y2
-    glottal = dsp.inverse_filter_rows(integrated, vt2.coeffs)
-
+    tilt = lpc(1, lambda lo, hi: raw[lo:hi])
+    vt1 = lpc(p, lambda lo, hi: filtered(tilt.coeffs, lo, hi, integrated=False))
+    source = lpc(cfg.glottal_order, lambda lo, hi: filtered(vt1.coeffs, lo, hi))
+    vt2 = lpc(p, lambda lo, hi: filtered(source.coeffs, lo, hi))
     unstable = tilt.unstable | vt1.unstable | source.unstable | vt2.unstable
-    return glottal, vt2, source, unstable
+
+    def glottal() -> Iterator[tuple[int, np.ndarray]]:
+        for lo, hi in chunks:
+            rows = filtered(vt2.coeffs, lo, hi)
+            bad = unstable[lo:hi]
+            rows[bad] = raw[lo:hi][bad]
+            yield lo, rows
+
+    return vt2, source, unstable, glottal()
 
 
 def iaif_frame(frame: np.ndarray, cfg: IaifConfig, sample_rate: int) -> GlottalFrameResult:
@@ -166,49 +201,44 @@ def iaif_frame(frame: np.ndarray, cfg: IaifConfig, sample_rate: int) -> GlottalF
       4. order-p LPC on (3) = final vocal tract; inverse filter integrated
          input: glottal flow
 
+    A one-frame call into the utterance's IAIF, with the frame's own integral.
     Raises UnstableFrameError when any LPC stage goes non-minimum-phase.
     """
     x = np.asarray(frame, dtype=np.float64)
     spec = cfg.frame_spec(sample_rate)
     if x.shape != (spec.win_length,):
         raise ValueError(f"frame shape {x.shape} != ({spec.win_length},)")
-    glottal, vt, source, unstable = _iaif_rows(
-        x[None, :], cfg, cfg.tract_order(sample_rate), spec.window_array()
-    )
+    integral = dsp.leaky_integrate(x, cfg.lip_d)
+    vt, source, unstable, chunks = _iaif(x, integral, cfg, spec, cfg.tract_order(sample_rate))
     if unstable[0]:
         raise UnstableFrameError("a reflection coefficient reached |k| >= 1")
+    ((_, glottal),) = chunks
     return GlottalFrameResult(
         glottal=glottal[0], vocal_tract=vt.model(0), glottal_source_model=source.model(0)
     )
 
 
 def extract_glottal_flow(audio: AudioBuffer, cfg: IaifConfig | None = None) -> GlottalFlowResult:
-    """Utterance-level glottal flow via frame-batched IAIF and hann overlap-add.
+    """Utterance-level glottal flow via stage-major IAIF and hann overlap-add.
 
-    Frames are processed IAIF_BLOCK_FRAMES at a time and each block is
-    overlap-added straight into the output.  Frames whose LPC goes unstable
-    are passed through raw and tallied; the output is peak-normalized to 0.95.
+    Each chunk of glottal rows is overlap-added straight into the output.
+    Frames whose LPC goes unstable are passed through raw and tallied; the
+    output is peak-normalized to 0.95.
     """
     cfg = cfg or IaifConfig()
     spec = cfg.frame_spec(audio.sample_rate)
     x = highpass(audio.samples, audio.sample_rate, cfg.highpass_cutoff)
-    frames = dsp.frame_signal(x, dsp.FrameSpec(spec.win_length, spec.hop_length, "rect"))
-    n = frames.shape[0]
-    w = spec.window_array()
     p = cfg.tract_order(audio.sample_rate)
-    envelope = dsp.ola_envelope(spec, n)
-    flow = np.zeros_like(envelope)
-    unstable = 0
-    for start in range(0, n, IAIF_BLOCK_FRAMES):
-        raw = frames[start : start + IAIF_BLOCK_FRAMES]
-        glottal, _, _, bad = _iaif_rows(raw, cfg, p, w)
-        glottal[bad] = raw[bad]
+    _, _, unstable, chunks = _iaif(x, dsp.leaky_integrate(x, cfg.lip_d), cfg, spec, p)
+    w = spec.window_array()
+    n = len(unstable)
+    flow = np.zeros((n - 1) * spec.hop_length + spec.win_length)
+    for lo, glottal in chunks:
         glottal *= w
-        unstable += int(np.count_nonzero(bad))
-        dsp.ola_accumulate(flow[start * spec.hop_length :], glottal, spec.hop_length)
-    flow /= envelope
+        dsp.ola_accumulate(flow[lo * spec.hop_length :], glottal, spec.hop_length)
+    flow /= dsp.ola_envelope(spec, n)  # made after the last chunk, when IAIF has freed its buffers
     return GlottalFlowResult(
         flow=AudioBuffer(samples=dsp.peak_normalize(flow), sample_rate=audio.sample_rate),
-        unstable_frames=unstable,
+        unstable_frames=int(np.count_nonzero(unstable)),
         total_frames=n,
     )

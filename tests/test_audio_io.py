@@ -2,6 +2,7 @@ import io
 import os
 import stat
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,6 +309,17 @@ def test_eq_in_and_hash_do_not_raise(make):
     assert a == a and a != b  # no elementwise ==
     assert a in [b, a] and b not in [a]
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_feature_bundle_equal_by_value_and_unhashable():
+    def make():
+        return FeatureBundle(np.zeros((2, 3)), np.zeros(2), 16000.0, 256, 1024)
+
+    a, b = make(), make()
+    assert a == b and a in [b] and not a != b
+    assert a != replace(b, f0=np.ones(2))
+    with pytest.raises(TypeError, match="unhashable type: 'FeatureBundle'"):
+        hash(a)
 
 
 def _any_row(columns):

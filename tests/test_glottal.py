@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from conftest import FS, two_formant_voice
 from rhythmkit import audio_io, cli, dsp, glottal
 from rhythmkit.audio_io import AudioBuffer
 from rhythmkit.errors import TooShortError, UnstableFrameError
-from rhythmkit.glottal import IaifConfig, _iaif_rows, extract_glottal_flow, highpass, iaif_frame
+from rhythmkit.glottal import IaifConfig, _iaif, extract_glottal_flow, highpass, iaif_frame
 
 
 def _band_fraction(power, freq_hz, fs, n_fft, half=3):
@@ -34,6 +36,37 @@ def _rbj_highpass(x, fs, fc):
         a = np.array([1.0 + alpha, -2.0 * c, 1.0 - alpha])
         y = lfilter(b / a[0], a / a[0], y)
     return y
+
+
+def _reference_flow(x, cfg, unstable_at):
+    """Per-frame IAIF from the 1-D kernels, as extract_glottal_flow without its
+    high-pass: each frame integrated alone, one dsp.levinson_durbin model per
+    stage (a silent stage input gets the identity model), frames in
+    unstable_at or whose Levinson raises passed through raw, then hann
+    overlap-add and peak normalisation.  Returns (flow, unstable frames)."""
+    spec = cfg.frame_spec(FS)
+    p, w = cfg.tract_order(FS), spec.window_array()
+
+    def lpc(y, order):
+        r = dsp.autocorrelation(y * w, order)
+        if not r[0] > 0.0:
+            return dsp.LpcModel(order, np.zeros(order), 0.0)
+        return dsp.levinson_durbin(r, order)
+
+    rows, unstable = [], 0
+    for i, frame in enumerate(dsp.frame_signal(x, replace(spec, window="rect"))):
+        integrated = dsp.leaky_integrate(frame, cfg.lip_d)
+        try:
+            if i in unstable_at:
+                raise UnstableFrameError(f"frame {i} flagged")
+            vt1 = lpc(dsp.inverse_filter(frame, lpc(frame, 1)), p)
+            source = lpc(dsp.inverse_filter(integrated, vt1), cfg.glottal_order)
+            vt2 = lpc(dsp.inverse_filter(integrated, source), p)
+            row = dsp.inverse_filter(integrated, vt2)
+        except UnstableFrameError:
+            row, unstable = frame, unstable + 1
+        rows.append(row * w)
+    return dsp.peak_normalize(dsp.overlap_add(np.array(rows), spec)), unstable
 
 
 class TestHighpass:
@@ -68,6 +101,36 @@ class TestHighpass:
     def test_zero_cutoff_is_identity(self):
         x = np.linspace(-1, 1, 100)
         assert np.array_equal(highpass(x, FS, 0.0), x)
+
+
+class TestIntegratedFrames:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.9, 0.99, 0.999]),
+        st.integers(32, 400),
+        st.floats(0.01, 1.0),
+        st.integers(1, 40),
+        st.integers(0, 200),
+        st.integers(1, 16),
+    )
+    def test_match_integrating_each_frame(self, seed, lip_d, win, hop_frac, frames, tail, chunk):
+        # Every frame's integral derived from the whole-signal integral, written
+        # chunk by chunk into rows with zero history columns in front as IAIF's
+        # buffer has them, equals dsp.leaky_integrate of that frame alone.  The
+        # derivation rounds at about eps * |integral[s-1]|; windows start at 32
+        # samples (IAIF's are hundreds), as a frame of a few samples can sit
+        # far enough below the integral carried into it to exceed 1e-12 of it.
+        hop = max(1, int(hop_frac * win))
+        spec = dsp.FrameSpec(win, hop)
+        x = np.random.default_rng(seed).standard_normal((frames - 1) * hop + win + tail)
+        fill = glottal._integrated_frames(dsp.leaky_integrate(x, lip_d), spec, lip_d)
+        alone = dsp.leaky_integrate(dsp.frame_signal(x, replace(spec, window="rect")), lip_d)
+        derived = np.zeros((len(alone), 3 + win))[:, 3:]
+        for lo in range(0, len(alone), chunk):
+            fill(derived[lo : lo + chunk], lo)
+        scale = np.max(np.abs(alone), axis=1, keepdims=True)
+        assert np.all(np.abs(derived - alone) <= 1e-12 * scale)
 
 
 class TestIaifFrame:
@@ -162,8 +225,9 @@ class TestExtractGlottalFlow:
             extract_glottal_flow(AudioBuffer(samples=np.zeros(100), sample_rate=FS))
 
     def test_block_boundary_is_seamless(self, monkeypatch):
-        # One frame past a block: the second block is integrated and padded on
-        # its own, and its one frame must match the single-block run.
+        # One frame past a block: the second chunk's autocorrelation and filter
+        # stacks hold that one frame, in the buffer the first chunk used, and it
+        # must match the single-chunk run.
         spec = IaifConfig().frame_spec(FS)
         n = spec.win_length + glottal.IAIF_BLOCK_FRAMES * spec.hop_length
         samples = two_formant_voice(seconds=2.0)[0].samples[:n]
@@ -175,22 +239,74 @@ class TestExtractGlottalFlow:
         np.testing.assert_allclose(split.flow.samples, whole.flow.samples, rtol=0, atol=1e-12)
 
     def test_rows_do_not_leak_into_each_other(self):
-        # A silent row between voiced ones: each row of the shared padded,
-        # integrated block must come out as it does alone.
+        # A silent frame beside voiced ones: each frame of the utterance, whose
+        # chunks share one buffer and whose stages share one Levinson call,
+        # must come out as it does alone with the same integrated frame.
         cfg = IaifConfig()
         spec = cfg.frame_spec(FS)
-        voice, _ = two_formant_voice()
-        x = highpass(voice.samples, FS, cfg.highpass_cutoff)
-        frames = dsp.frame_signal(x, dsp.FrameSpec(spec.win_length, spec.hop_length, "rect"))
-        stack = np.stack([frames[20], np.zeros(spec.win_length), frames[80]])
-        args = (cfg, cfg.tract_order(FS), spec.window_array())
-        rows, _, _, unstable = _iaif_rows(stack, *args)
+        x = highpass(two_formant_voice()[0].samples, FS, cfg.highpass_cutoff)
+        x[: spec.win_length] = 0.0
+        integral = dsp.leaky_integrate(x, cfg.lip_d)
+        args = (cfg, spec, cfg.tract_order(FS))
+        _, _, unstable, chunks = _iaif(x, integral, *args)
+        rows = np.concatenate([g for _, g in chunks])
         assert not unstable.any()
-        for row, got in zip(stack, rows):
-            solo = _iaif_rows(row[None, :], *args)[0][0]
+        raw = dsp.frame_signal(x, replace(spec, window="rect"))
+        integrated = np.empty_like(raw)
+        glottal._integrated_frames(integral, spec, cfg.lip_d)(integrated, 0)
+        for frame, own, got in zip(raw, integrated, rows):
+            solo = next(_iaif(frame, own, *args)[3])[1][0]
             scale = np.max(np.abs(solo))
             np.testing.assert_allclose(got, solo, rtol=0, atol=1e-12 * scale)
-        assert np.all(rows[1] == 0.0)
+        assert np.all(rows[0] == 0.0)
+
+    def test_matches_per_frame_reference_over_blocks(self, monkeypatch):
+        # Two and a half blocks of white noise with a run of exact zeros across
+        # the first block boundary (no high-pass, so the zeros stay exact), and
+        # unstable frames flagged at different stages in two blocks.  White
+        # noise keeps the LPC normal equations well conditioned, so the frames
+        # integrated from the whole-signal integral and those integrated alone
+        # give flows within rounding.  On formant-shaped input the near-singular
+        # equations amplify the integrals' last-bit differences to about 1e-11
+        # of the peak (a 3.5 s two-formant voice); the goldens bound that at 1e-9.
+        cfg = IaifConfig(highpass_cutoff=0.0)
+        spec = cfg.frame_spec(FS)
+        x = np.random.default_rng(3).standard_normal(56000)
+        x[20000:23000] = 0.0
+        n = dsp.num_frames(len(x), spec)
+        assert n >= 2.5 * glottal.IAIF_BLOCK_FRAMES
+        ref, ref_unstable = _reference_flow(x, cfg, {40, 300})
+        real = dsp.levinson_rows
+        flagged = iter([[40], [], [], [300]])
+
+        def flaky(r, order):
+            rows = real(r, order)
+            flag = np.zeros(len(r), dtype=bool)
+            flag[next(flagged)] = True
+            return replace(rows, coeffs=np.where(flag[:, None], 0.0, rows.coeffs),
+                           unstable=rows.unstable | flag)
+
+        monkeypatch.setattr(dsp, "levinson_rows", flaky)
+        res = extract_glottal_flow(AudioBuffer(x, FS), cfg)
+        assert res.unstable_frames == ref_unstable >= 2
+        np.testing.assert_allclose(res.flow.samples, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_one_levinson_per_stage_and_one_integral_per_utterance(self, monkeypatch):
+        spec = IaifConfig().frame_spec(FS)
+        n = spec.win_length + 3 * glottal.IAIF_BLOCK_FRAMES * spec.hop_length
+        voice = AudioBuffer(two_formant_voice(seconds=4.0)[0].samples[:n], FS)
+        calls = {"levinson_rows": 0, "leaky_integrate": 0}
+        for name in calls:
+            real = getattr(dsp, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(dsp, name, counted)
+        res = extract_glottal_flow(voice)
+        assert res.total_frames > 3 * glottal.IAIF_BLOCK_FRAMES
+        assert calls == {"levinson_rows": 4, "leaky_integrate": 1}
 
     def test_formant_suppression_and_rhythm_survival(self):
         # Oracle: the synthetic construction fixes formants (700/1200 Hz) and
@@ -236,15 +352,16 @@ class TestExtractGlottalFlow:
                 unstable=rows.unstable | flag,
             )
 
-        blocks = []
+        chunks = []
         real_ola = dsp.ola_accumulate
 
         def recording_ola(out, frames, hop):
-            blocks.append(np.array(frames))
+            chunks.append(np.array(frames))
             real_ola(out, frames, hop)
 
         monkeypatch.setattr(dsp, "levinson_rows", flaky)
         monkeypatch.setattr(dsp, "ola_accumulate", recording_ola)
+        monkeypatch.setattr(glottal, "IAIF_BLOCK_FRAMES", 8)
         res = extract_glottal_flow(voice, cfg)
         assert res.unstable_frames == len(injected)
         assert res.unstable_frames > 0
@@ -253,7 +370,7 @@ class TestExtractGlottalFlow:
         spec = cfg.frame_spec(FS)
         x = highpass(voice.samples, FS, cfg.highpass_cutoff)
         raw = dsp.frame_signal(x, spec)
-        frames = blocks[-1]  # the one block of frames; earlier calls build the envelope
+        frames = np.concatenate(chunks[:-1])  # chunks of 8 frames; the last call is the envelope
         assert len(frames) == res.total_frames
         flagged = sorted(injected)
         assert np.array_equal(frames[flagged], raw[flagged])
