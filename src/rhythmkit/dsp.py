@@ -274,31 +274,23 @@ def inverse_filter(x: np.ndarray, model: LpcModel) -> np.ndarray:
     return inverse_filter_rows(padded[None, :], model.coeffs[None, :])[0]
 
 
-def iir_filter(
-    b: np.ndarray | list[float], a: np.ndarray | list[float], x: np.ndarray
-) -> np.ndarray:
-    """Direct-form IIR filter b(z)/a(z) along the last axis, zero initial state.
-
-    scipy.signal's one use outside glottal.highpass's Butterworth design: both import
-    it on first call, because loading it costs about a second that commands which
-    never filter (features, augment, eer, speedperturb) should not pay.
-    """
-    from scipy.signal import lfilter
-
-    return lfilter(b, a, x, axis=-1)
-
-
 def allpole_filter(e: np.ndarray, model: LpcModel) -> np.ndarray:
     """Synthesis counterpart: y[n] = e[n] - sum_k a[k] y[n-k], zero initial state."""
-    a = np.concatenate(([1.0], model.coeffs))
-    return iir_filter([1.0], a, e)
+    # scipy.signal is imported on first call here, in leaky_integrate and in
+    # glottal.highpass: loading it costs about a second that commands which
+    # never filter (features, augment, eer, speedperturb) should not pay.
+    from scipy.signal import lfilter
+
+    return lfilter([1.0], np.concatenate(([1.0], model.coeffs)), e, axis=-1)
 
 
 def leaky_integrate(x: np.ndarray, d: float) -> np.ndarray:
     """y[n] = x[n] + d*y[n-1] along the last axis; inverse of the differentiator 1 - d z^-1."""
     if not 0.0 < d <= 1.0:
         raise ValueError(f"leak coefficient must lie in (0, 1], got {d}")
-    return iir_filter([1.0], [1.0, -d], x)
+    from scipy.signal import lfilter  # lazily, as in allpole_filter
+
+    return lfilter([1.0], [1.0, -d], x, axis=-1)
 
 
 def peak_normalize(x: np.ndarray) -> np.ndarray:
@@ -309,8 +301,8 @@ def peak_normalize(x: np.ndarray) -> np.ndarray:
 
 def resampled_length(length: int, factor: float) -> int:
     """Output length under a resampling factor: max(1, round(L*r)), half away from zero."""
-    if factor <= 0.0:
-        raise ValueError(f"resampling factor must be positive, got {factor}")
+    if not 0.0 < factor < np.inf:
+        raise ValueError(f"resampling factor must be positive and finite, got {factor}")
     return max(1, int(np.floor(length * factor + 0.5)))
 
 

@@ -27,7 +27,6 @@ def mel_to_hz(m: np.ndarray | float) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    n_fft: int = 1024
     win_length: int = 1024
     hop_length: int = 256
     n_mels: int = 80
@@ -38,12 +37,11 @@ class FeatureConfig:
     voicing_threshold: float = 0.3
 
     def __post_init__(self) -> None:
-        frame = self.frame  # FrameSpec checks win_length and hop_length
-        # Griffin-Lim recovers n_fft from the rfft bin count, which only an even n_fft gives back.
-        if self.n_fft % 2:
-            raise ValueError(f"n_fft must be even, got {self.n_fft}")
-        if frame.win_length > self.n_fft:
-            raise ValueError(f"win_length {frame.win_length} exceeds n_fft {self.n_fft}")
+        # FrameSpec checks win_length and hop_length.  The window is the FFT
+        # frame, and Griffin-Lim's objective counts the last rfft bin once, as
+        # a Nyquist bin, which only an even frame has.
+        if self.frame.win_length % 2:
+            raise ValueError(f"win_length must be even, got {self.win_length}")
         if self.n_mels < 1:
             raise ValueError(f"n_mels must be positive, got {self.n_mels}")
         if self.fmin < 0.0:
@@ -68,23 +66,23 @@ class FeatureConfig:
 
 
 def stft_magnitude(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
-    """Magnitude spectrogram, shape (n_frames, n_fft//2 + 1)."""
-    return np.abs(np.fft.rfft(dsp.frame_signal(audio.samples, cfg.frame), n=cfg.n_fft, axis=1))
+    """Magnitude spectrogram, shape (n_frames, win_length//2 + 1)."""
+    return np.abs(np.fft.rfft(dsp.frame_signal(audio.samples, cfg.frame), axis=1))
 
 
 def mel_filterbank(cfg: FeatureConfig, sample_rate: int) -> np.ndarray:
-    """Triangular mel filters, shape (n_mels, n_fft//2 + 1), each peaking at 1."""
+    """Triangular mel filters, shape (n_mels, win_length//2 + 1), each peaking at 1."""
     fmax = cfg.effective_fmax(sample_rate)
-    n_bins = cfg.n_fft // 2 + 1
+    win = cfg.win_length
     mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(fmax), cfg.n_mels + 2)
     hz_pts = np.asarray(mel_to_hz(mel_pts))
-    center_bins = np.rint(hz_pts[1:-1] * cfg.n_fft / sample_rate).astype(int)
+    center_bins = np.rint(hz_pts[1:-1] * win / sample_rate).astype(int)
     if np.any(np.diff(center_bins) < 1):
         raise TooManyMelsError(
             f"{cfg.n_mels} filters over [{cfg.fmin}, {fmax}] Hz collide on the "
-            f"{cfg.n_fft}-point DFT grid"
+            f"{win}-point DFT grid"
         )
-    freqs = np.arange(n_bins) * (sample_rate / cfg.n_fft)
+    freqs = np.arange(win // 2 + 1) * (sample_rate / win)
     lower, center, upper = hz_pts[:-2], hz_pts[1:-1], hz_pts[2:]
     rising = (freqs[None, :] - lower[:, None]) / (center - lower)[:, None]
     falling = (upper[:, None] - freqs[None, :]) / (upper - center)[:, None]

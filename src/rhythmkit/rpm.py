@@ -70,9 +70,9 @@ class RpmConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.seg_min <= self.seg_max:
             raise ValueError(f"need 1 <= seg_min <= seg_max, got [{self.seg_min}, {self.seg_max}]")
-        if not 0.0 < self.factor_lo <= self.factor_hi:
+        if not 0.0 < self.factor_lo <= self.factor_hi < np.inf:
             raise ValueError(
-                f"need 0 < factor_lo <= factor_hi, got [{self.factor_lo}, {self.factor_hi}]"
+                f"need 0 < factor_lo <= factor_hi < inf, got [{self.factor_lo}, {self.factor_hi}]"
             )
         if not 0 <= self.seed < 2**64:  # rng_for_utterance keeps only 64 bits
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")

@@ -83,20 +83,20 @@ def griffin_lim(
         raise ShapeMismatchError(f"magnitudes must be 2-D, got shape {target.shape}")
     if not np.all(np.isfinite(target)) or np.any(target < 0.0):
         raise ValueError("magnitudes must be finite and nonnegative")
-    n_fft = 2 * (target.shape[1] - 1)
-    if spec.win_length > n_fft:
+    win, hop = spec.win_length, spec.hop_length
+    # The window is the FFT frame; the objective's Nyquist bin needs it even.
+    if win % 2 or target.shape[1] != win // 2 + 1:
         raise ShapeMismatchError(
-            f"win_length {spec.win_length} exceeds n_fft {n_fft} implied by the magnitudes"
+            f"need an even win_length and win_length//2 + 1 bins, "
+            f"got {target.shape[1]} bins for win_length {win}"
         )
     # Least-squares inverse STFT: frames weighted once more by the window,
     # over the squared-window envelope (computed once for every iteration).
     # This is the projection Griffin-Lim's convergence proof needs.
     w = spec.window_array()
-    win, hop = spec.win_length, spec.hop_length
     envelope = dsp.ola_envelope(spec, target.shape[0], window_power=2)
     # Every iteration reuses these buffers; x's analysis frames are a view of x.
-    frames = np.empty((target.shape[0], n_fft))
-    head = frames[:, :win]
+    frames = np.empty((target.shape[0], win))
     spectra = np.empty(target.shape, dtype=np.complex128)
     mags = np.empty_like(target)
     scratch = np.empty_like(target)
@@ -106,13 +106,12 @@ def griffin_lim(
     spectra[...] = target  # zero initial phase
     objective = np.empty(cfg.n_iters + 1)
     for it in range(cfg.n_iters + 1):
-        np.fft.irfft(spectra, n=n_fft, axis=1, out=frames)
-        head *= w
+        np.fft.irfft(spectra, n=win, axis=1, out=frames)
+        frames *= w
         x.fill(0.0)
-        dsp.ola_accumulate(x, head, hop)
+        dsp.ola_accumulate(x, frames, hop)
         x /= envelope
-        np.multiply(x_frames, w, out=head)
-        frames[:, win:] = 0.0  # zero padding, which irfft filled
+        np.multiply(x_frames, w, out=frames)
         np.fft.rfft(frames, axis=1, out=spectra)
         np.abs(spectra, out=mags)
         # Interior rfft bins double-weighted: the full-spectrum Frobenius norm.

@@ -575,7 +575,7 @@ class TestConfig:
             "audio": {"encoding": "pcm16"},
             "iaif": {"vocal_tract_order": None, "glottal_order": 4, "lip_d": 0.99,
                      "win_ms": 25.0, "hop_ms": 5.0, "highpass_cutoff": 70.0},
-            "features": {"n_fft": 1024, "win_length": 1024, "hop_length": 256,
+            "features": {"win_length": 1024, "hop_length": 256,
                          "n_mels": 80, "fmin": 0.0, "fmax": None,
                          "f0_min": 50.0, "f0_max": 500.0, "voicing_threshold": 0.3},
             "rpm": {"seg_min": 19, "seg_max": 32, "factor_lo": 0.5, "factor_hi": 1.5, "seed": 0},
@@ -594,7 +594,7 @@ class TestConfig:
         assert cfg.rpm.seed == 7
         assert cfg.audio.encoding == "float32"
         assert (cfg.features.frame.win_length, cfg.features.frame.hop_length) == (512, 128)
-        assert (cfg.features.n_mels, cfg.features.f0_min, cfg.features.n_fft) == (64, 60.0, 1024)
+        assert (cfg.features.n_mels, cfg.features.f0_min) == (64, 60.0)
         assert (cfg.iaif.vocal_tract_order, cfg.iaif.lip_d) == (20, 0.98)
         assert (cfg.rpm.seg_min, cfg.rpm.seg_max, cfg.rpm.factor_hi) == (5, 32, 1.2)
 
@@ -617,7 +617,7 @@ class TestConfig:
         {"rpm": {"seed": 2**64}},
         {"iaif": {"window": None}},
         {"features": {"fmax": "7000"}},
-        {"features": {"n_fft": False}},
+        {"features": {"win_length": False}},
         {"audio": "pcm16"},
         {"audio": {"encoding": "pcm24"}},
         {"griffin_lim": {"seed": -1}},
@@ -626,7 +626,7 @@ class TestConfig:
         {"features": {"fmin": -100.0}},
         {"features": {"fmin": 8000.0, "fmax": 7000.0}},
         {"features": {"fmax": 0.0}},
-        {"features": {"n_fft": 1023, "win_length": 1023}},
+        {"features": {"win_length": 1023}},
         {"iaif": {"vocal_tract_order": 3}},
         {"iaif": {"vocal_tract_order": 4}},
         {"iaif": {"vocal_tract_order": 0}},
@@ -678,7 +678,7 @@ class TestConfig:
     "factor-lo-above-hi", "factor-hi-below-config-lo", "config-wrong-type",
     "fmax-below-fmin", "fmax-zero", "n-fft-odd", "vt-order-not-above-glottal",
     "config-duplicate-key", "rpm-not-object-with-flag", "root-not-object-with-flag",
-    "old-griffin-lim-keys", "old-window-keys",
+    "old-griffin-lim-keys", "old-window-keys", "old-n-fft-key",
     "old-top-level-seed", "seed-2-to-the-64", "seed-on-glottal", "seed-on-features",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
@@ -697,8 +697,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     fmax_below.write_text('{"features": {"fmin": 8000.0, "fmax": 7000.0}}')
     fmax_zero = tmp_path / "fmax_zero.json"
     fmax_zero.write_text('{"features": {"fmax": 0.0}}')
-    odd_fft = tmp_path / "odd_fft.json"
-    odd_fft.write_text('{"features": {"n_fft": 1023, "win_length": 1023}}')
+    odd_win = tmp_path / "odd_win.json"
+    odd_win.write_text('{"features": {"win_length": 1023}}')  # the window is the FFT frame
     low_vt = tmp_path / "low_vt.json"
     low_vt.write_text('{"iaif": {"vocal_tract_order": 3}}')
     repeated = tmp_path / "repeated.json"
@@ -711,6 +711,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     old.write_text('{"griffin_lim": {"n_iters": 60, "init_phase": "zeros", "seed": 0}}')
     old_window = tmp_path / "old_window.json"
     old_window.write_text('{"iaif": {"window": "hann"}}')
+    old_n_fft = tmp_path / "old_n_fft.json"
+    old_n_fft.write_text('{"features": {"n_fft": 1024, "win_length": 1024}}')
     top_seed = tmp_path / "top_seed.json"
     top_seed.write_text('{"seed": 7, "rpm": {"seg_min": 19}}')
     wav = str(corpus.parent / "utt0.wav")
@@ -730,7 +732,7 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "config-wrong-type": ["features", str(corpus), "--out", str(out), "--config", str(typed)],
         "fmax-below-fmin": ["features", str(corpus), "--out", str(out), "--config", str(fmax_below)],
         "fmax-zero": ["features", str(corpus), "--out", str(out), "--config", str(fmax_zero)],
-        "n-fft-odd": augment + ["--config", str(odd_fft)],
+        "n-fft-odd": augment + ["--config", str(odd_win)],
         "vt-order-not-above-glottal":
             ["glottal", str(corpus), "--out", str(out), "--config", str(low_vt)],
         "config-duplicate-key":
@@ -739,6 +741,7 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "root-not-object-with-flag": augment + ["--config", str(root_list), "--seed", "3"],
         "old-griffin-lim-keys": augment + ["--config", str(old)],
         "old-window-keys": ["glottal", str(corpus), "--out", str(out), "--config", str(old_window)],
+        "old-n-fft-key": ["features", str(corpus), "--out", str(out), "--config", str(old_n_fft)],
         "old-top-level-seed": augment + ["--config", str(top_seed)],
         "seed-2-to-the-64": augment + ["--seed", str(2**64)],
         "seed-on-glottal": ["glottal", str(corpus), "--out", str(out), "--seed", "5"],

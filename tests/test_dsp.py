@@ -290,6 +290,11 @@ class TestLinearResample:
         assert dsp.resampled_length(20, 0.5) == 10
         assert dsp.resampled_length(5, 1.1) == 6  # 5.5 -> 6
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.inf, np.nan])
+    def test_length_rule_rejects_bad_factor(self, factor):
+        with pytest.raises(ValueError, match="resampling factor must be positive and finite"):
+            dsp.resampled_length(10, factor)
+
 
 # -- frame-batched kernels against the 1-D calls and the loop references ------
 

@@ -37,7 +37,7 @@ class TestStft:
         frames = dsp.frame_signal(buf.samples, cfg.frame)
         for i in range(frames.shape[0]):
             freq_energy = mags[i, 0] ** 2 + mags[i, -1] ** 2 + 2.0 * np.sum(mags[i, 1:-1] ** 2)
-            time_energy = cfg.n_fft * np.sum(frames[i] ** 2)
+            time_energy = cfg.win_length * np.sum(frames[i] ** 2)
             assert freq_energy == pytest.approx(time_energy, rel=1e-6)
 
     def test_too_short(self):
@@ -161,7 +161,7 @@ class TestExtractFeatures:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            FeatureConfig(n_fft=512)  # default 1024-sample window no longer fits
+            FeatureConfig(win_length=1023)  # the window is the FFT frame and must be even
         with pytest.raises(ValueError):
             FeatureConfig(f0_min=300.0, f0_max=200.0)
         with pytest.raises(ValueError):

@@ -423,9 +423,14 @@ class TestExtractGlottalFlow:
         with pytest.raises(ValueError):
             IaifConfig(lip_d=1.0)
         with pytest.raises(ValueError):
-            IaifConfig(hop_ms=30.0, win_ms=25.0)
-        with pytest.raises(ValueError):
             IaifConfig(vocal_tract_order=3, glottal_order=4).frame_spec(FS)
+        # A non-finite value must fail here: frame_spec would overflow on it, and
+        # highpass would take an argmin of nothing behind scipy warnings.
+        for key, value in [("hop_ms", 30.0), ("win_ms", np.inf), ("win_ms", np.nan),
+                           ("hop_ms", np.nan), ("highpass_cutoff", np.inf),
+                           ("highpass_cutoff", np.nan)]:
+            with pytest.raises(ValueError, match=key):
+                IaifConfig(**{key: value})
 
     @pytest.mark.parametrize("rate, key", [(8, "iaif.win_ms"), (100, "iaif.hop_ms")])
     def test_rate_too_low_names_rate_and_key(self, rate, key):

@@ -113,8 +113,10 @@ class TestSamplePlan:
             RpmConfig(seg_min=0)
         with pytest.raises(ValueError):
             RpmConfig(seg_min=20, seg_max=19)
-        with pytest.raises(ValueError):
-            RpmConfig(factor_lo=0.0)
+        # A non-finite factor must fail here: rhythm_perturb would overflow on it.
+        for lo, hi in [(0.0, 1.5), (0.5, np.inf), (np.inf, np.inf), (np.nan, 1.5), (0.5, np.nan)]:
+            with pytest.raises(ValueError, match="need 0 < factor_lo <= factor_hi < inf"):
+                RpmConfig(factor_lo=lo, factor_hi=hi)
 
 
 @st.composite

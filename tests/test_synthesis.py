@@ -25,12 +25,11 @@ def _spectral_distance(mags: np.ndarray, target: np.ndarray) -> float:
 def griffin_lim_reference(target, spec, cfg):
     """griffin_lim written with a fresh array for every step: the oracle the
     buffer-reusing loop must match byte for byte."""
-    n_fft = 2 * (target.shape[1] - 1)
     w = spec.window_array()
     envelope = dsp.ola_envelope(spec, target.shape[0], window_power=2)
 
     def istft(spectra):
-        frames = np.fft.irfft(spectra, n=n_fft, axis=1)[:, : spec.win_length] * w
+        frames = np.fft.irfft(spectra, n=spec.win_length, axis=1) * w
         out = np.zeros_like(envelope)
         dsp.ola_accumulate(out, frames, spec.hop_length)
         return out / envelope
@@ -38,7 +37,7 @@ def griffin_lim_reference(target, spec, cfg):
     x = istft(target.astype(np.complex128))
     objective = []
     for it in range(cfg.n_iters + 1):
-        spectra = np.fft.rfft(dsp.frame_signal(x, spec), n=n_fft, axis=1)
+        spectra = np.fft.rfft(dsp.frame_signal(x, spec), axis=1)
         mags = np.abs(spectra)
         objective.append(_spectral_distance(mags, target))
         if it == cfg.n_iters:
@@ -122,7 +121,7 @@ class TestGriffinLim:
         assert len(res.audio) == (n - 1) * cfg.frame.hop_length + cfg.frame.win_length
 
     @pytest.mark.parametrize("order", ["C", "F"])  # mel_to_linear returns F order
-    def test_window_shorter_than_n_fft_matches_reference(self, order):
+    def test_non_default_frame_matches_reference(self, order):
         cfg = FeatureConfig(win_length=800, hop_length=200)
         mags = stft_magnitude(am_harmonic_signal(seed=4, seconds=0.5), cfg)
         mags = np.asarray(mags, order=order)
@@ -131,6 +130,14 @@ class TestGriffinLim:
         audio, objective = griffin_lim_reference(mags, cfg.frame, gl)
         assert res.audio.samples.tobytes() == audio.tobytes()
         np.testing.assert_allclose(res.objective, objective, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("bins, spec", [
+        (513, dsp.FrameSpec(800, 200)),  # the default frame's bins under an 800-sample spec
+        (401, dsp.FrameSpec(801, 200)),  # an odd frame has no Nyquist bin
+    ], ids=["513-bins-800-win", "odd-win"])
+    def test_rejects_bins_that_do_not_fit_spec(self, bins, spec):
+        with pytest.raises(ShapeMismatchError, match=f"got {bins} bins for win_length {spec.win_length}"):
+            griffin_lim(np.ones((4, bins)), spec, GriffinLimConfig(n_iters=1), FS)
 
     def test_rejects_bad_magnitudes(self):
         cfg = FeatureConfig()
