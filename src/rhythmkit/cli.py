@@ -14,10 +14,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
-from types import NoneType, UnionType
-from typing import Any, Callable, get_args, get_type_hints
+from typing import Any, Callable, get_type_hints
 
-from . import audio_io, evaluation
+from . import audio_io, dsp, evaluation
 from .audio_io import WAV_ENCODINGS, AudioBuffer, ManifestEntry
 from .errors import RhythmkitError
 from .features import FeatureConfig, extract_features
@@ -41,6 +40,7 @@ class AudioConfig:
     encoding: str = "pcm16"
 
     def __post_init__(self) -> None:
+        dsp.check_field_types(self)
         if self.encoding not in WAV_ENCODINGS:
             raise ValueError(f"encoding {self.encoding!r} not in {list(WAV_ENCODINGS)}")
 
@@ -56,26 +56,12 @@ class RunConfig:
     griffin_lim: GriffinLimConfig = GriffinLimConfig()
 
 
-def _typed(value: Any, hint: Any, name: str) -> Any:
-    """value checked against a field's type hint: a float field also takes
-    ints, no field takes bools, and only an ``X | None`` field takes null."""
-    kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
-    if isinstance(value, bool) or not any(
-        isinstance(value, (int, float) if kind is float else kind) for kind in kinds
-    ):
-        names = " or ".join("null" if kind is NoneType else kind.__name__ for kind in kinds)
-        raise ConfigError(f"{name} must be {names}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):  # JSON NaN and Infinity
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def _from_doc(default: Any, doc: Any, where: str = "root") -> Any:
     """A copy of the dataclass default with the fields doc names replaced.
 
-    doc must be an object whose keys are default's fields; each value is
-    type-checked against its field's hint, and a dataclass field is parsed
-    as a section of its own, whose range errors are prefixed with its name."""
+    doc must be an object whose keys are default's fields.  A dataclass field
+    is parsed as a section of its own; the section's dataclass checks its
+    values' types and ranges, and its errors are prefixed with its name."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config {where} must be an object, got {type(doc).__name__}")
     hints = get_type_hints(type(default))
@@ -83,13 +69,12 @@ def _from_doc(default: Any, doc: Any, where: str = "root") -> Any:
     if unknown:
         raise ConfigError(f"unknown keys in config {where}: {sorted(unknown)}")
     changes = {
-        name: _from_doc(getattr(default, name), value, name) if is_dataclass(hints[name])
-        else _typed(value, hints[name], f"{where}.{name}")
+        name: _from_doc(getattr(default, name), value, name) if is_dataclass(hints[name]) else value
         for name, value in doc.items()
     }
     try:
         return replace(default, **changes)
-    except ValueError as exc:  # the section's own range checks
+    except ValueError as exc:  # the section's own type and range checks
         raise ConfigError(f"{where}: {exc}") from exc
 
 

@@ -8,7 +8,12 @@ one-row calls into the same code.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cache
+from types import NoneType, UnionType
+from typing import Any, get_args, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,6 +41,23 @@ WINDOW_KINDS: dict[str, tuple[float, float]] = {
 
 # Largest magnitude of every synthesized or extracted output waveform.
 OUTPUT_PEAK = 0.95
+
+_FIELD_KINDS: dict[type, type] = {int: numbers.Integral, float: numbers.Real}  # numpy scalars too
+_class_hints = cache(get_type_hints)  # evaluating string annotations takes ~0.1 ms a class
+
+
+def check_field_types(config: Any) -> None:
+    """Raise ValueError naming the first config field whose value does not fit its hint:
+    int takes integers, float finite reals, no field a bool, and only ``X | None`` None."""
+    for name, hint in _class_hints(type(config)).items():
+        value = getattr(config, name)
+        kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+        admitted = tuple(_FIELD_KINDS.get(kind, kind) for kind in kinds)
+        if isinstance(value, bool) or not isinstance(value, admitted):
+            names = " or ".join("None" if kind is NoneType else kind.__name__ for kind in kinds)
+            raise ValueError(f"{name} must be {names}, got {value!r}")
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):  # NaN, +-inf
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

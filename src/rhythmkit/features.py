@@ -37,6 +37,7 @@ class FeatureConfig:
     voicing_threshold: float = 0.3
 
     def __post_init__(self) -> None:
+        dsp.check_field_types(self)
         # FrameSpec checks win_length and hop_length.  The window is the FFT
         # frame, and Griffin-Lim's objective counts the last rfft bin once, as
         # a Nyquist bin, which only an even frame has.

@@ -43,6 +43,7 @@ class IaifConfig:
     highpass_cutoff: float = 70.0
 
     def __post_init__(self) -> None:
+        dsp.check_field_types(self)
         if not 0.0 < self.lip_d < 1.0:
             raise ValueError(f"lip_d must lie in (0, 1), got {self.lip_d}")
         if self.glottal_order < 1:
@@ -52,10 +53,10 @@ class IaifConfig:
                 f"need glottal_order < vocal_tract_order, "
                 f"got g={self.glottal_order} p={self.vocal_tract_order}"
             )
-        if not 0.0 < self.hop_ms <= self.win_ms < np.inf:
-            raise ValueError(f"need 0 < hop_ms <= win_ms < inf, got hop={self.hop_ms} win={self.win_ms}")
-        if not 0.0 <= self.highpass_cutoff < np.inf:
-            raise ValueError(f"highpass_cutoff must be finite and nonnegative, got {self.highpass_cutoff}")
+        if not 0.0 < self.hop_ms <= self.win_ms:
+            raise ValueError(f"need 0 < hop_ms <= win_ms, got hop={self.hop_ms} win={self.win_ms}")
+        if self.highpass_cutoff < 0.0:
+            raise ValueError(f"highpass_cutoff must be nonnegative, got {self.highpass_cutoff}")
 
     def tract_order(self, sample_rate: int) -> int:
         p = self.vocal_tract_order

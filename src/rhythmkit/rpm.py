@@ -68,12 +68,11 @@ class RpmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        dsp.check_field_types(self)
         if not 1 <= self.seg_min <= self.seg_max:
             raise ValueError(f"need 1 <= seg_min <= seg_max, got [{self.seg_min}, {self.seg_max}]")
-        if not 0.0 < self.factor_lo <= self.factor_hi < np.inf:
-            raise ValueError(
-                f"need 0 < factor_lo <= factor_hi < inf, got [{self.factor_lo}, {self.factor_hi}]"
-            )
+        if not 0.0 < self.factor_lo <= self.factor_hi:
+            raise ValueError(f"need 0 < factor_lo <= factor_hi, got [{self.factor_lo}, {self.factor_hi}]")
         if not 0 <= self.seed < 2**64:  # rng_for_utterance keeps only 64 bits
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
@@ -118,16 +117,6 @@ class SegmentPlan:
             ],
         }
         return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SegmentPlan":
-        doc = json.loads(text)
-        return cls(
-            segments=tuple(
-                Segment(start=s["start"], length=s["len"], factor=s["factor"])
-                for s in doc["segments"]
-            )
-        )
 
 
 def sample_segment_plan(total_frames: int, cfg: RpmConfig, rng: SplitMix64) -> SegmentPlan:

@@ -26,6 +26,7 @@ class GriffinLimConfig:
     n_iters: int = 60
 
     def __post_init__(self) -> None:
+        dsp.check_field_types(self)
         if self.n_iters < 1:
             raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
 

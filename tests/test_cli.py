@@ -18,7 +18,11 @@ import pytest
 from conftest import am_harmonic_signal, two_formant_voice
 from rhythmkit import audio_io, cli
 from rhythmkit.audio_io import ManifestEntry
-from rhythmkit.cli import RunConfig, build_run_config, main, ConfigError
+from rhythmkit.cli import AudioConfig, RunConfig, build_run_config, main, ConfigError
+from rhythmkit.features import FeatureConfig
+from rhythmkit.glottal import IaifConfig
+from rhythmkit.rpm import RpmConfig
+from rhythmkit.synthesis import GriffinLimConfig
 from test_audio_io import HOSTILE_WAVS, _raw_wav
 from test_evaluation import eer_oracle
 
@@ -648,6 +652,7 @@ class TestConfig:
         ({"iaif": {"lip_d": 1.5}}, "iaif: lip_d must lie in (0, 1), got 1.5"),
         ({"features": {"n_mels": 0}}, "features: n_mels must be positive, got 0"),
         ({"audio": {"encoding": "pcm24"}}, "audio: encoding 'pcm24' not in "),
+        ({"griffin_lim": {"n_iters": 2.5}}, "griffin_lim: n_iters must be int"),
     ])
     def test_range_error_names_its_section(self, doc, message):
         with pytest.raises(ConfigError) as info:
@@ -663,6 +668,28 @@ class TestConfig:
     def test_readme_python_example_runs(self):
         section = README.read_text(encoding="utf-8").split("## Library\n", 1)[1]
         exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: GriffinLimConfig(n_iters=2.5), "n_iters"),
+        (lambda: GriffinLimConfig(n_iters=np.inf), "n_iters"),
+        (lambda: FeatureConfig(fmin=np.nan), "fmin"),
+        (lambda: FeatureConfig(fmax=np.nan), "fmax"),
+        (lambda: FeatureConfig(fmin=np.inf), "fmin"),
+        (lambda: FeatureConfig(fmax="7000"), "fmax"),
+        (lambda: IaifConfig(glottal_order=1.5), "glottal_order"),
+        (lambda: RpmConfig(seg_min=1.5, seg_max=3), "seg_min"),
+        (lambda: RpmConfig(seed=1.5), "seed"),
+        (lambda: RpmConfig(seed=True), "seed"),
+        (lambda: AudioConfig(encoding=5), "encoding"),
+    ])
+    def test_library_construction_checks_field_types(self, make, field):
+        # The same rule as a --config document, without the CLI.
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            make()
+
+    def test_numpy_scalars_construct(self):
+        assert IaifConfig(glottal_order=np.int64(4)).glottal_order == 4
+        assert FeatureConfig(fmin=np.float32(10)).fmin == 10.0
 
     def test_ints_for_floats_and_null_where_default_is_null(self):
         cfg = build_run_config({"rpm": {"factor_lo": 1, "factor_hi": 2},
