@@ -176,6 +176,13 @@ def _read_chunks(raw: bytes, path: Path) -> dict[str, bytes]:
     return chunks
 
 
+def _check_byte_rate(path: str | Path, sample_rate: int, bits: int) -> None:
+    """Reject a rate whose byte rate, sample_rate * bits // 8, overflows its 32-bit fmt field."""
+    if sample_rate * (bits // 8) > 0xFFFFFFFF:
+        raise UnsupportedFormatError(f"{path}: byte rate of sample_rate={sample_rate} "
+                                     f"at {bits} bits overflows 32 bits")
+
+
 def read_wav_encoded(path: str | Path) -> tuple[AudioBuffer, str]:
     """Decode a mono WAV file and name its encoding, a key of WAV_ENCODINGS.
 
@@ -196,9 +203,7 @@ def read_wav_encoded(path: str | Path) -> tuple[AudioBuffer, str]:
     if not names:
         raise UnsupportedFormatError(f"{path}: unsupported format={audio_format} bits={bits}")
     _, _, dtype, full_scale = WAV_ENCODINGS[names[0]]
-    if sample_rate * (bits // 8) > 0xFFFFFFFF:  # write_wav could not store its byte rate
-        raise UnsupportedFormatError(f"{path}: byte rate of sample_rate={sample_rate} "
-                                     f"at {bits} bits overflows 32 bits")
+    _check_byte_rate(path, sample_rate, bits)
     data = chunks["data"]
     n = len(data) // (bits // 8)
     if n == 0:
@@ -222,6 +227,7 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
     if encoding not in WAV_ENCODINGS:
         raise ValueError(f"encoding must be one of {sorted(WAV_ENCODINGS)}, got {encoding!r}")
     audio_format, bits, dtype, full_scale = WAV_ENCODINGS[encoding]
+    _check_byte_rate(path, buf.sample_rate, bits)
     values = buf.samples
     if np.dtype(dtype).kind == "i":
         info = np.iinfo(dtype)

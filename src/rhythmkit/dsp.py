@@ -1,4 +1,4 @@
-"""Numeric kernel: framing, windowing, overlap-add, LPC, filtering, resampling.
+"""Numeric kernel: framing, the Hann window, overlap-add, LPC, filtering, resampling.
 
 All functions operate on plain float64 numpy arrays and are pure; audio
 container types live in audio_io.  The LPC kernels work on stacks of frames
@@ -33,12 +33,6 @@ AUTOCORR_REG = 1e-6
 # the tapered edges.
 OLA_ENVELOPE_FLOOR = 1e-8
 
-# Periodic (DFT-even) cosine windows a - b*cos(2*pi*n/N): name -> (a, b).
-WINDOW_KINDS: dict[str, tuple[float, float]] = {
-    "hann": (0.5, 0.5),
-    "rect": (1.0, 0.0),
-}
-
 # Largest magnitude of every synthesized or extracted output waveform.
 OUTPUT_PEAK = 0.95
 
@@ -48,7 +42,7 @@ _class_hints = cache(get_type_hints)  # evaluating string annotations takes ~0.1
 
 def check_field_types(config: Any) -> None:
     """Raise ValueError naming the first config field whose value does not fit its hint:
-    int takes integers, float finite reals, no field a bool, and only ``X | None`` None."""
+    int takes integers, float reals, each finite as a float; no bool; only ``X | None`` None."""
     for name, hint in _class_hints(type(config)).items():
         value = getattr(config, name)
         kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
@@ -56,17 +50,20 @@ def check_field_types(config: Any) -> None:
         if isinstance(value, bool) or not isinstance(value, admitted):
             names = " or ".join("None" if kind is NoneType else kind.__name__ for kind in kinds)
             raise ValueError(f"{name} must be {names}, got {value!r}")
-        if isinstance(value, (float, np.floating)) and not math.isfinite(value):  # NaN, +-inf
+        try:  # NaN and +-inf are not finite; an int past float range raises OverflowError
+            finite = not isinstance(value, numbers.Real) or math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """Analysis framing: window length, hop and window shape (samples)."""
+    """Analysis framing: window length and hop (samples); the window is Hann."""
 
     win_length: int
     hop_length: int
-    window: str = "hann"
 
     def __post_init__(self) -> None:
         if self.win_length <= 0:
@@ -75,13 +72,10 @@ class FrameSpec:
             raise ValueError(
                 f"need 0 < hop_length <= win_length, got hop={self.hop_length} win={self.win_length}"
             )
-        if self.window not in WINDOW_KINDS:
-            raise ValueError(f"unknown window {self.window!r}, expected one of {list(WINDOW_KINDS)}")
 
     def window_array(self) -> np.ndarray:
-        """The analysis window, win_length samples of WINDOW_KINDS[window]."""
-        a, b = WINDOW_KINDS[self.window]
-        return a - b * np.cos(2.0 * np.pi * np.arange(self.win_length) / self.win_length)
+        """The analysis window: win_length samples of the periodic (DFT-even) Hann."""
+        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(self.win_length) / self.win_length)
 
 
 @dataclass(frozen=True, eq=False)  # a generated == would compare arrays
@@ -144,17 +138,14 @@ def num_frames(length: int, spec: FrameSpec) -> int:
 
 
 def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
-    """Window-weighted frames, shape (n_frames, win_length).
+    """Raw (unweighted) frames, shape (n_frames, win_length): a read-only
+    strided view of x, not a copy.  Callers weight them by spec.window_array().
 
-    Trailing samples that do not fill a whole window are dropped.  Rect
-    frames are a read-only strided view of x, not a copy.
+    Trailing samples that do not fill a whole window are dropped.
     """
     x = np.asarray(x, dtype=np.float64)
     num_frames(len(x), spec)  # raises TooShortError below one window
-    frames = sliding_window_view(x, spec.win_length)[:: spec.hop_length]
-    if spec.window != "rect":
-        frames = frames * spec.window_array()[None, :]
-    return frames
+    return sliding_window_view(x, spec.win_length)[:: spec.hop_length]
 
 
 def ola_accumulate(out: np.ndarray, frames: np.ndarray, hop: int) -> None:
@@ -183,8 +174,9 @@ def overlap_add(frames: np.ndarray, spec: FrameSpec) -> np.ndarray:
     """Reassemble already window-weighted frames into one signal.
 
     Each output sample is the sum of frame contributions divided by the
-    summed window envelope at that sample, so frame_signal -> overlap_add
-    recovers the input on the fully overlapped interior.
+    summed window envelope at that sample, so
+    overlap_add(frame_signal(x, spec) * spec.window_array(), spec) recovers x
+    on the fully overlapped interior.
     """
     try:
         frames = np.asarray(frames, dtype=np.float64)

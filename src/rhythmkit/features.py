@@ -67,8 +67,9 @@ class FeatureConfig:
 
 
 def stft_magnitude(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
-    """Magnitude spectrogram, shape (n_frames, win_length//2 + 1)."""
-    return np.abs(np.fft.rfft(dsp.frame_signal(audio.samples, cfg.frame), axis=1))
+    """Magnitude spectrogram of Hann-weighted frames, shape (n_frames, win_length//2 + 1)."""
+    spec = cfg.frame
+    return np.abs(np.fft.rfft(dsp.frame_signal(audio.samples, spec) * spec.window_array()))
 
 
 def mel_filterbank(cfg: FeatureConfig, sample_rate: int) -> np.ndarray:
@@ -106,7 +107,7 @@ def estimate_f0(audio: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     admissible lag range stays below the voicing threshold.
     """
     fs = audio.sample_rate
-    spec = dsp.FrameSpec(cfg.win_length, cfg.hop_length, "rect")
+    spec = cfg.frame
     frames = dsp.frame_signal(audio.samples, spec)
     lag_lo = max(1, int(np.ceil(fs / cfg.f0_max)))
     lag_hi = min(int(np.floor(fs / cfg.f0_min)), spec.win_length - 1)

@@ -13,7 +13,7 @@ derived from that whole-signal integral.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -123,7 +123,7 @@ def _integrated_frames(
     integral[s:s+win] - lip_d**(1..win) * integral[s-1], with integral[-1] = 0.
     """
     hop = spec.hop_length
-    summed = dsp.frame_signal(integral, replace(spec, window="rect"))
+    summed = dsp.frame_signal(integral, spec)
     carry = np.zeros(len(summed))
     carry[1:] = integral[hop - 1 : (len(summed) - 1) * hop : hop]
     decay = lip_d ** np.arange(1.0, spec.win_length + 1)
@@ -152,7 +152,7 @@ def _iaif(
     per chunk, in which an unstable frame's row is the raw frame.
     """
     p = tract_order
-    raw = dsp.frame_signal(x, replace(spec, window="rect"))
+    raw = dsp.frame_signal(x, spec)
     n, size = len(raw), min(len(raw), IAIF_BLOCK_FRAMES)
     chunks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
     padded = np.zeros((size, p + spec.win_length))

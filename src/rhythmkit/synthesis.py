@@ -102,7 +102,7 @@ def griffin_lim(
     mags = np.empty_like(target)
     scratch = np.empty_like(target)
     x = np.empty_like(envelope)
-    x_frames = dsp.frame_signal(x, dsp.FrameSpec(win, hop, "rect"))
+    x_frames = dsp.frame_signal(x, spec)
 
     spectra[...] = target  # zero initial phase
     objective = np.empty(cfg.n_iters + 1)

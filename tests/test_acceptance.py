@@ -80,7 +80,7 @@ def test_iaif_formant_suppression():
     lo, hi = int(60 * n_fft / FS), int(250 * n_fft / FS)
     f0_shift = abs(int(np.argmax(p_in[lo:hi])) - int(np.argmax(p_out[lo:hi])))
 
-    spec = dsp.FrameSpec(400, 80, "rect")
+    spec = dsp.FrameSpec(400, 80)
     f_in = dsp.frame_signal(voice.samples, spec)
     f_out = dsp.frame_signal(res.flow.samples, spec)
     m = min(f_in.shape[0], f_out.shape[0])

@@ -188,6 +188,14 @@ class TestWriteWav:
         with pytest.raises(EmptyAudioError):
             audio_io.write_wav(tmp_path / "e.wav", buf, "pcm16")
 
+    @pytest.mark.parametrize("encoding, rate", [("pcm16", 2**31), ("float32", 2**30)])
+    def test_byte_rate_past_32_bits_rejected(self, tmp_path, encoding, rate):
+        # The same rule as read_wav's: the fmt chunk stores rate * bytes per sample in 32 bits.
+        path = tmp_path / "fast.wav"
+        with pytest.raises(UnsupportedFormatError, match="overflows 32 bits"):
+            audio_io.write_wav(path, AudioBuffer(samples=np.zeros(4), sample_rate=rate), encoding)
+        assert list(tmp_path.iterdir()) == []
+
     def test_encoding_probe(self, tmp_path):
         buf = AudioBuffer(samples=np.zeros(8), sample_rate=8000)
         audio_io.write_wav(tmp_path / "a.wav", buf, "pcm16")

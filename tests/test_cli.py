@@ -681,6 +681,10 @@ class TestConfig:
         (lambda: RpmConfig(seed=1.5), "seed"),
         (lambda: RpmConfig(seed=True), "seed"),
         (lambda: AudioConfig(encoding=5), "encoding"),
+        (lambda: RpmConfig(factor_hi=10**400), "factor_hi"),
+        (lambda: FeatureConfig(fmax=10**400), "fmax"),
+        (lambda: IaifConfig(win_ms=10**400), "win_ms"),
+        (lambda: RpmConfig(seg_max=10**400), "seg_max"),
     ])
     def test_library_construction_checks_field_types(self, make, field):
         # The same rule as a --config document, without the CLI.
@@ -707,6 +711,7 @@ class TestConfig:
     "config-duplicate-key", "rpm-not-object-with-flag", "root-not-object-with-flag",
     "old-griffin-lim-keys", "old-window-keys", "old-n-fft-key",
     "old-top-level-seed", "seed-2-to-the-64", "seed-on-glottal", "seed-on-features",
+    "config-400-digit-int",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     out = tmp_path / "out"
@@ -742,6 +747,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
     old_n_fft.write_text('{"features": {"n_fft": 1024, "win_length": 1024}}')
     top_seed = tmp_path / "top_seed.json"
     top_seed.write_text('{"seed": 7, "rpm": {"seg_min": 19}}')
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"iaif": {"win_ms": %s}}' % ("9" * 400))  # beyond float range
     wav = str(corpus.parent / "utt0.wav")
     augment = ["augment", str(corpus), "--out", str(out)]
     argv = {
@@ -773,6 +780,7 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "seed-2-to-the-64": augment + ["--seed", str(2**64)],
         "seed-on-glottal": ["glottal", str(corpus), "--out", str(out), "--seed", "5"],
         "seed-on-features": ["features", str(corpus), "--out", str(out), "--seed", "5"],
+        "config-400-digit-int": ["glottal", str(corpus), "--out", str(out), "--config", str(huge)],
     }[case]
     assert main(argv) == 1
     assert not out.exists()

@@ -34,7 +34,7 @@ class TestStft:
         buf = AudioBuffer(samples=rng.uniform(-1, 1, 4096), sample_rate=FS)
         cfg = FeatureConfig()
         mags = stft_magnitude(buf, cfg)
-        frames = dsp.frame_signal(buf.samples, cfg.frame)
+        frames = dsp.frame_signal(buf.samples, cfg.frame) * cfg.frame.window_array()
         for i in range(frames.shape[0]):
             freq_energy = mags[i, 0] ** 2 + mags[i, -1] ** 2 + 2.0 * np.sum(mags[i, 1:-1] ** 2)
             time_energy = cfg.win_length * np.sum(frames[i] ** 2)

@@ -54,7 +54,7 @@ def _reference_flow(x, cfg, unstable_at):
         return dsp.levinson_durbin(r, order)
 
     rows, unstable = [], 0
-    for i, frame in enumerate(dsp.frame_signal(x, replace(spec, window="rect"))):
+    for i, frame in enumerate(dsp.frame_signal(x, spec)):
         integrated = dsp.leaky_integrate(frame, cfg.lip_d)
         try:
             if i in unstable_at:
@@ -125,7 +125,7 @@ class TestIntegratedFrames:
         spec = dsp.FrameSpec(win, hop)
         x = np.random.default_rng(seed).standard_normal((frames - 1) * hop + win + tail)
         fill = glottal._integrated_frames(dsp.leaky_integrate(x, lip_d), spec, lip_d)
-        alone = dsp.leaky_integrate(dsp.frame_signal(x, replace(spec, window="rect")), lip_d)
+        alone = dsp.leaky_integrate(dsp.frame_signal(x, spec), lip_d)
         derived = np.zeros((len(alone), 3 + win))[:, 3:]
         for lo in range(0, len(alone), chunk):
             fill(derived[lo : lo + chunk], lo)
@@ -251,7 +251,7 @@ class TestExtractGlottalFlow:
         _, _, unstable, chunks = _iaif(x, integral, *args)
         rows = np.concatenate([g for _, g in chunks])
         assert not unstable.any()
-        raw = dsp.frame_signal(x, replace(spec, window="rect"))
+        raw = dsp.frame_signal(x, spec)
         integrated = np.empty_like(raw)
         glottal._integrated_frames(integral, spec, cfg.lip_d)(integrated, 0)
         for frame, own, got in zip(raw, integrated, rows):
@@ -327,7 +327,7 @@ class TestExtractGlottalFlow:
     def test_energy_envelope_correlates(self):
         voice, _ = two_formant_voice()
         res = extract_glottal_flow(voice, IaifConfig())
-        spec = dsp.FrameSpec(400, 80, "rect")
+        spec = dsp.FrameSpec(400, 80)
         f_in = dsp.frame_signal(voice.samples, spec)
         f_out = dsp.frame_signal(res.flow.samples, spec)
         m = min(f_in.shape[0], f_out.shape[0])
@@ -369,7 +369,7 @@ class TestExtractGlottalFlow:
         # Flagged frames reach the overlap-add raw (hann-weighted highpassed input).
         spec = cfg.frame_spec(FS)
         x = highpass(voice.samples, FS, cfg.highpass_cutoff)
-        raw = dsp.frame_signal(x, spec)
+        raw = dsp.frame_signal(x, spec) * spec.window_array()
         frames = np.concatenate(chunks[:-1])  # chunks of 8 frames; the last call is the envelope
         assert len(frames) == res.total_frames
         flagged = sorted(injected)

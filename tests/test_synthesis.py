@@ -37,7 +37,7 @@ def griffin_lim_reference(target, spec, cfg):
     x = istft(target.astype(np.complex128))
     objective = []
     for it in range(cfg.n_iters + 1):
-        spectra = np.fft.rfft(dsp.frame_signal(x, spec), axis=1)
+        spectra = np.fft.rfft(dsp.frame_signal(x, spec) * w, axis=1)
         mags = np.abs(spectra)
         objective.append(_spectral_distance(mags, target))
         if it == cfg.n_iters:
