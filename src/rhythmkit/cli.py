@@ -12,9 +12,9 @@ import logging
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, get_type_hints
+from typing import Any, Callable
 
 from . import audio_io, dsp, evaluation
 from .audio_io import WAV_ENCODINGS, AudioBuffer, ManifestEntry
@@ -64,14 +64,13 @@ def _from_doc(default: Any, doc: Any, where: str = "root") -> Any:
     values' types and ranges, and its errors are prefixed with its name."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config {where} must be an object, got {type(doc).__name__}")
-    hints = get_type_hints(type(default))
-    unknown = set(doc) - set(hints)
+    unknown = set(doc) - {f.name for f in fields(default)}
     if unknown:
         raise ConfigError(f"unknown keys in config {where}: {sorted(unknown)}")
-    changes = {
-        name: _from_doc(getattr(default, name), value, name) if is_dataclass(hints[name]) else value
-        for name, value in doc.items()
-    }
+    changes = {}
+    for name, value in doc.items():
+        current = getattr(default, name)
+        changes[name] = _from_doc(current, value, name) if is_dataclass(current) else value
     try:
         return replace(default, **changes)
     except ValueError as exc:  # the section's own type and range checks

@@ -18,12 +18,7 @@ from typing import Any, get_args, get_type_hints
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    InconsistentFrameLengthError,
-    LagTooLargeError,
-    TooShortError,
-    UnstableFrameError,
-)
+from .errors import LagTooLargeError, ShapeMismatchError, TooShortError, UnstableFrameError
 
 # Multiplicative white-noise floor on r[0]; keeps |k| < 1 on
 # near-deterministic frames.
@@ -42,7 +37,8 @@ _class_hints = cache(get_type_hints)  # evaluating string annotations takes ~0.1
 
 def check_field_types(config: Any) -> None:
     """Raise ValueError naming the first config field whose value does not fit its hint:
-    int takes integers, float reals, each finite as a float; no bool; only ``X | None`` None."""
+    int takes integers, float reals, each finite as a float; no bool; only ``X | None`` None.
+    A number is stored back as a Python int or float (numpy scalars and ints in float fields)."""
     for name, hint in _class_hints(type(config)).items():
         value = getattr(config, name)
         kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
@@ -56,6 +52,8 @@ def check_field_types(config: Any) -> None:
             finite = False
         if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
+        if isinstance(value, numbers.Real):
+            object.__setattr__(config, name, int(value) if int in kinds else float(value))
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ class LpcModel:
     minimum-phase invariant (every |k| < 1) stays checkable after the fact.
     """
 
-    order: int
     coeffs: np.ndarray
     gain: float
     reflections: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -95,10 +92,8 @@ class LpcModel:
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "reflections", np.asarray(self.reflections, dtype=np.float64))
-        if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
-        if coeffs.shape != (self.order,):
-            raise ValueError(f"expected {self.order} coefficients, got shape {coeffs.shape}")
+        if coeffs.ndim != 1:
+            raise ValueError(f"coefficients must be 1-D, got shape {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("LPC coefficients must be finite")
         if not (np.isfinite(self.gain) and self.gain >= 0):
@@ -122,7 +117,6 @@ class LpcRows:
 
     def model(self, row: int) -> LpcModel:
         return LpcModel(
-            order=self.coeffs.shape[1],
             coeffs=self.coeffs[row],
             gain=float(self.gain[row]),
             reflections=self.reflections[row],
@@ -181,11 +175,11 @@ def overlap_add(frames: np.ndarray, spec: FrameSpec) -> np.ndarray:
     try:
         frames = np.asarray(frames, dtype=np.float64)
     except ValueError as exc:  # ragged input cannot form a rectangular stack
-        raise InconsistentFrameLengthError(str(exc)) from exc
+        raise ShapeMismatchError(str(exc)) from exc
     if frames.ndim != 2 or frames.shape[0] == 0:
-        raise InconsistentFrameLengthError("overlap_add needs a non-empty 2-D frame stack")
+        raise ShapeMismatchError("overlap_add needs a non-empty 2-D frame stack")
     if frames.shape[1] != spec.win_length:
-        raise InconsistentFrameLengthError(
+        raise ShapeMismatchError(
             f"frames have length {frames.shape[1]}, spec expects {spec.win_length}"
         )
     envelope = ola_envelope(spec, frames.shape[0])
@@ -251,11 +245,9 @@ def levinson_durbin(r: np.ndarray, order: int) -> LpcModel:
     so a returned model is always minimum-phase.
     """
     r = np.asarray(r, dtype=np.float64)
-    if len(r) < order + 1:
-        raise LagTooLargeError(f"need {order + 1} autocorrelation lags, got {len(r)}")
+    rows = levinson_rows(r[None, :], order)
     if not r[0] * (1.0 + AUTOCORR_REG) > 0.0:
         raise ValueError(f"autocorrelation r[0] must be positive, got {r[0]}")
-    rows = levinson_rows(r[None, :], order)
     if rows.unstable[0]:
         ks = rows.reflections[0]
         i = int(np.argmin(np.abs(ks) < 1.0))
@@ -284,7 +276,7 @@ def inverse_filter_rows(padded: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def inverse_filter(x: np.ndarray, model: LpcModel) -> np.ndarray:
     """Prediction residual e[n] = x[n] + sum_k a[k] x[n-k], zero initial state."""
-    padded = np.concatenate([np.zeros(model.order), np.asarray(x, dtype=np.float64)])
+    padded = np.concatenate([np.zeros(len(model.coeffs)), np.asarray(x, dtype=np.float64)])
     return inverse_filter_rows(padded[None, :], model.coeffs[None, :])[0]
 
 

@@ -41,10 +41,6 @@ class UnstableFrameError(RhythmkitError):
     """Levinson recursion produced a reflection coefficient with |k| >= 1."""
 
 
-class InconsistentFrameLengthError(RhythmkitError):
-    """Frames handed to overlap-add do not all share the window length."""
-
-
 class TooManyMelsError(RhythmkitError):
     """Adjacent mel filter centers collapse onto the same DFT bin."""
 

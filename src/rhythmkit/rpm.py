@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -79,41 +80,41 @@ class RpmConfig:
 
 @dataclass(frozen=True)
 class Segment:
-    start: int
     length: int
     factor: float
+
+    def __post_init__(self) -> None:
+        if self.length < 1:
+            raise ValueError(f"segment length must be >= 1, got {self.length}")
 
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Contiguous, in-order tiling of [0, total_frames) with per-segment factors."""
+    """Consecutive segments, in order from frame 0, each with its own factor."""
 
     segments: tuple[Segment, ...]
 
     @property
     def total_frames(self) -> int:
-        if not self.segments:
-            return 0
-        last = self.segments[-1]
-        return last.start + last.length
+        return sum(s.length for s in self.segments)
 
     def output_frames(self) -> int:
         return sum(dsp.resampled_length(s.length, s.factor) for s in self.segments)
 
     def tiles(self, total_frames: int) -> bool:
-        pos = 0
-        for seg in self.segments:
-            if seg.start != pos or seg.length < 1:
-                return False
-            pos += seg.length
-        return pos == total_frames
+        return self.total_frames == total_frames
+
+    def starts(self) -> list[int]:
+        """First frame of each segment: the sum of the lengths before it."""
+        return list(accumulate((s.length for s in self.segments), initial=0))[:-1]
 
     def to_json(self, utt_id: str, seed: int) -> str:
         doc = {
             "utt_id": utt_id,
             "seed": seed,
             "segments": [
-                {"start": s.start, "len": s.length, "factor": s.factor} for s in self.segments
+                {"start": start, "len": s.length, "factor": s.factor}
+                for start, s in zip(self.starts(), self.segments)
             ],
         }
         return json.dumps(doc, indent=2)
@@ -133,7 +134,7 @@ def sample_segment_plan(total_frames: int, cfg: RpmConfig, rng: SplitMix64) -> S
         length = rng.next_int(cfg.seg_min, cfg.seg_max)
         factor = rng.next_uniform(cfg.factor_lo, cfg.factor_hi)
         length = min(length, total_frames - pos)
-        segments.append(Segment(start=pos, length=length, factor=factor))
+        segments.append(Segment(length=length, factor=factor))
         pos += length
     return SegmentPlan(segments=tuple(segments))
 
@@ -152,9 +153,8 @@ def apply_plan(
             f"plan covers {plan.total_frames} frames, bundle has {bundle.n_frames}"
         )
     frames = np.column_stack([bundle.mel, bundle.f0])
-    out = np.concatenate(
-        [dsp.linear_resample(frames[s.start : s.start + s.length], s.factor) for s in plan.segments]
-    )
+    cuts = np.split(frames, plan.starts()[1:])
+    out = np.concatenate([dsp.linear_resample(c, s.factor) for c, s in zip(cuts, plan.segments)])
     f0 = out[:, -1]
     f0[f0 < f0_floor] = 0.0
     return replace(bundle, mel=out[:, :-1], f0=f0)

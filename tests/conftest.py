@@ -17,7 +17,7 @@ def formant_model(formants, bandwidths, fs=FS) -> dsp.LpcModel:
         r = np.exp(-np.pi * b / fs)
         theta = 2.0 * np.pi * f / fs
         poly = np.convolve(poly, [1.0, -2.0 * r * np.cos(theta), r * r])
-    return dsp.LpcModel(order=len(poly) - 1, coeffs=poly[1:], gain=1.0)
+    return dsp.LpcModel(coeffs=poly[1:], gain=1.0)
 
 
 def two_formant_voice(fs=FS, seconds=1.0, f0=120.0):
@@ -76,7 +76,7 @@ def random_stable_model(rng: np.random.Generator, order: int) -> dsp.LpcModel:
         poly = np.convolve(poly, [1.0, -2.0 * radius * np.cos(theta), radius * radius])
     if odd:
         poly = np.convolve(poly, [1.0, -rng.uniform(-0.9, 0.9)])
-    return dsp.LpcModel(order=order, coeffs=poly[1:], gain=1.0)
+    return dsp.LpcModel(coeffs=poly[1:], gain=1.0)
 
 
 def separated_stable_model(rng: np.random.Generator, pairs: int) -> dsp.LpcModel:
@@ -88,4 +88,4 @@ def separated_stable_model(rng: np.random.Generator, pairs: int) -> dsp.LpcModel
         radius = rng.uniform(0.5, 0.9)
         theta = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
         poly = np.convolve(poly, [1.0, -2.0 * radius * np.cos(theta), radius * radius])
-    return dsp.LpcModel(order=2 * pairs, coeffs=poly[1:], gain=1.0)
+    return dsp.LpcModel(coeffs=poly[1:], gain=1.0)

@@ -290,7 +290,7 @@ class TestAudioBuffer:
 
 
 def _lpc():
-    return dsp.LpcModel(order=2, coeffs=np.zeros(2), gain=1.0)
+    return dsp.LpcModel(coeffs=np.zeros(2), gain=1.0)
 
 
 def _buf():

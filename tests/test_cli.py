@@ -19,9 +19,9 @@ from conftest import am_harmonic_signal, two_formant_voice
 from rhythmkit import audio_io, cli
 from rhythmkit.audio_io import ManifestEntry
 from rhythmkit.cli import AudioConfig, RunConfig, build_run_config, main, ConfigError
-from rhythmkit.features import FeatureConfig
+from rhythmkit.features import FeatureBundle, FeatureConfig
 from rhythmkit.glottal import IaifConfig
-from rhythmkit.rpm import RpmConfig
+from rhythmkit.rpm import RpmConfig, rhythm_perturb
 from rhythmkit.synthesis import GriffinLimConfig
 from test_audio_io import HOSTILE_WAVS, _raw_wav
 from test_evaluation import eer_oracle
@@ -692,8 +692,20 @@ class TestConfig:
             make()
 
     def test_numpy_scalars_construct(self):
-        assert IaifConfig(glottal_order=np.int64(4)).glottal_order == 4
-        assert FeatureConfig(fmin=np.float32(10)).fmin == 10.0
+        order = IaifConfig(glottal_order=np.int64(4)).glottal_order
+        fmin = FeatureConfig(fmin=np.float32(10)).fmin
+        assert order == 4 and type(order) is int
+        assert fmin == 10.0 and type(fmin) is float
+        assert type(FeatureConfig(fmin=1).fmin) is float  # an int in a float field
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7)])
+    def test_numpy_seed_samples_the_int_seed_plan(self, seed):
+        bundle = FeatureBundle(mel=np.zeros((100, 4)), f0=np.zeros(100), sample_rate=16000.0,
+                               hop_length=256, win_length=1024)
+        _, plan = rhythm_perturb(bundle, RpmConfig(seed=seed), "utt1")
+        assert plan == rhythm_perturb(bundle, RpmConfig(seed=7), "utt1")[1]
+        echo = json.loads(json.dumps(asdict(RunConfig(rpm=RpmConfig(seed=seed)))))
+        assert echo["rpm"]["seed"] == 7
 
     def test_ints_for_floats_and_null_where_default_is_null(self):
         cfg = build_run_config({"rpm": {"factor_lo": 1, "factor_hi": 2},

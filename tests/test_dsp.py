@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,8 +11,8 @@ from scipy.signal import lfilter
 from conftest import random_stable_model, separated_stable_model, two_formant_voice
 from rhythmkit import dsp
 from rhythmkit.errors import (
-    InconsistentFrameLengthError,
     LagTooLargeError,
+    ShapeMismatchError,
     TooShortError,
     UnstableFrameError,
 )
@@ -95,9 +96,9 @@ class TestOverlapAdd:
 
     def test_mixed_lengths_rejected(self):
         spec = dsp.FrameSpec(4, 2)
-        with pytest.raises(InconsistentFrameLengthError):
+        with pytest.raises(ShapeMismatchError):
             dsp.overlap_add(np.array([np.zeros(4), np.zeros(3)], dtype=object), spec)
-        with pytest.raises(InconsistentFrameLengthError):
+        with pytest.raises(ShapeMismatchError):
             dsp.overlap_add(np.zeros((2, 5)), spec)
 
 
@@ -159,6 +160,12 @@ class TestLevinsonDurbin:
         with pytest.raises(ValueError):
             dsp.levinson_durbin(np.zeros(3), 2)
 
+    def test_too_few_lags_rejected(self):
+        with pytest.raises(LagTooLargeError):
+            dsp.levinson_durbin(np.array([1.0, 0.5]), 4)
+        with pytest.raises(LagTooLargeError):
+            dsp.levinson_durbin(np.array([]), 2)
+
     def test_minimum_phase_on_random_frames(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -170,8 +177,14 @@ class TestLevinsonDurbin:
 class TestFilters:
     def test_order0_inverse_is_identity(self):
         x = np.linspace(-1, 1, 32)
-        identity = dsp.LpcModel(order=0, coeffs=np.zeros(0), gain=0.0)
+        identity = dsp.LpcModel(coeffs=np.zeros(0), gain=0.0)
         assert np.array_equal(dsp.inverse_filter(x, identity), x)
+
+    def test_model_is_its_coefficients(self):
+        names = [f.name for f in dataclasses.fields(dsp.LpcModel)]
+        assert names == ["coeffs", "gain", "reflections"]
+        with pytest.raises(ValueError, match="1-D"):
+            dsp.LpcModel(coeffs=np.zeros((2, 2)), gain=1.0)
 
     def test_allpole_then_inverse_round_trip(self):
         rng = np.random.default_rng(9)
@@ -186,19 +199,19 @@ class TestFilters:
             assert np.max(np.abs(z - x)) / scale < 1e-9
 
     def test_ar1_impulse_response(self):
-        model = dsp.LpcModel(order=1, coeffs=np.array([-0.9]), gain=1.0)
+        model = dsp.LpcModel(coeffs=np.array([-0.9]), gain=1.0)
         e = np.zeros(20)
         e[0] = 1.0
         assert np.allclose(dsp.allpole_filter(e, model), 0.9 ** np.arange(20))
 
     def test_inverse_filter_definition(self):
-        model = dsp.LpcModel(order=1, coeffs=np.array([-0.9]), gain=1.0)
+        model = dsp.LpcModel(coeffs=np.array([-0.9]), gain=1.0)
         x = np.zeros(4)
         x[0] = 1.0
         assert np.allclose(dsp.inverse_filter(x, model), [1.0, -0.9, 0.0, 0.0])
 
     def test_zero_input_zero_output(self):
-        model = dsp.LpcModel(order=2, coeffs=np.array([-0.5, 0.06]), gain=1.0)
+        model = dsp.LpcModel(coeffs=np.array([-0.5, 0.06]), gain=1.0)
         assert np.all(dsp.allpole_filter(np.zeros(16), model) == 0.0)
 
 
@@ -467,7 +480,7 @@ class TestBatchedRows:
         e = dsp.inverse_filter_rows(np.pad(x, ((0, 0), (order, 0))), coeffs)
         assert e.shape == x.shape
         for i, row in enumerate(x):
-            model = dsp.LpcModel(order=order, coeffs=coeffs[i], gain=1.0)
+            model = dsp.LpcModel(coeffs=coeffs[i], gain=1.0)
             scale = max(np.max(np.abs(row)), 1e-300) * (1.0 + np.sum(np.abs(coeffs[i])))
             _close(e[i], dsp.inverse_filter(row, model), scale)
             _close(e[i], lfilter(np.concatenate(([1.0], coeffs[i])), [1.0], row), scale)

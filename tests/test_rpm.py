@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -82,7 +83,7 @@ class TestSamplePlan:
         plan = sample_segment_plan(10, RpmConfig(), rng)
         assert len(plan.segments) == 1
         seg = plan.segments[0]
-        assert (seg.start, seg.length) == (0, 10)
+        assert (plan.starts(), seg.length) == ([0], 10)
         assert RpmConfig().factor_lo <= seg.factor <= RpmConfig().factor_hi
 
     def test_fixed_seed_reproducible(self):
@@ -162,7 +163,7 @@ class TestApplyPlan:
 
     def test_single_segment_stretch(self):
         bundle = make_bundle(20, seed=4)
-        plan = SegmentPlan(segments=(Segment(0, 20, 1.5),))
+        plan = SegmentPlan(segments=(Segment(20, 1.5),))
         out = apply_plan(bundle, plan)
         assert out.n_frames == 30
         for band in range(bundle.n_mels):
@@ -179,7 +180,7 @@ class TestApplyPlan:
         f0 = np.concatenate([np.zeros(10), np.full(10, 120.0)])
         mel = np.zeros((20, 4))
         bundle = FeatureBundle(mel=mel, f0=f0, sample_rate=16000.0, hop_length=256, win_length=1024)
-        plan = SegmentPlan(segments=(Segment(0, 20, 1.5),))
+        plan = SegmentPlan(segments=(Segment(20, 1.5),))
         out = apply_plan(bundle, plan, f0_floor=50.0)
         assert np.all((out.f0 == 0.0) | (out.f0 >= 50.0))
         assert np.any(out.f0 == 0.0) and np.any(out.f0 >= 50.0)
@@ -202,21 +203,22 @@ class TestApplyPlan:
     def test_matches_separate_resampling_bit_for_bit(self, seed):
         # Factor-1.0 segments, 1-frame segments and a 5-frame segment squeezed to 1 frame.
         plan = SegmentPlan(segments=(
-            Segment(0, 7, 1.0), Segment(7, 1, 2.3), Segment(8, 5, 0.1), Segment(13, 9, 1.37),
-            Segment(22, 1, 1.0), Segment(23, 12, 0.61), Segment(35, 4, 2.0),
+            Segment(7, 1.0), Segment(1, 2.3), Segment(5, 0.1), Segment(9, 1.37),
+            Segment(1, 1.0), Segment(12, 0.61), Segment(4, 2.0),
         ))
         rng = np.random.default_rng(seed)
         mel = rng.uniform(-23.0, 3.0, (plan.total_frames, 6))
         mel[rng.random(mel.shape) < 0.2] = -0.0
         f0 = rng.choice([0.0, 50.0, 50.0, 49.999, 120.0, 310.5], plan.total_frames)
         bundle = FeatureBundle(mel=mel, f0=f0, sample_rate=16000.0, hop_length=256, win_length=1024)
-        mel_parts, f0_parts = [], []
+        mel_parts, f0_parts, start = [], [], 0
         for seg in plan.segments:  # reference: mel and F0 as two timelines, snapped per segment
-            stop = seg.start + seg.length
-            mel_parts.append(dsp.linear_resample(mel[seg.start : stop], seg.factor))
-            f0_seg = dsp.linear_resample(f0[seg.start : stop], seg.factor)
+            stop = start + seg.length
+            mel_parts.append(dsp.linear_resample(mel[start:stop], seg.factor))
+            f0_seg = dsp.linear_resample(f0[start:stop], seg.factor)
             f0_seg[f0_seg < 50.0] = 0.0
             f0_parts.append(f0_seg)
+            start = stop
         out = apply_plan(bundle, plan, f0_floor=50.0)
 
         def bits(a):
@@ -229,9 +231,15 @@ class TestApplyPlan:
 
     def test_plan_mismatch(self):
         bundle = make_bundle(30)
-        plan = SegmentPlan(segments=(Segment(0, 20, 1.0),))
-        with pytest.raises(PlanMismatchError):
+        plan = SegmentPlan(segments=(Segment(20, 1.0),))
+        with pytest.raises(PlanMismatchError, match="plan covers 20 frames, bundle has 30"):
             apply_plan(bundle, plan)
+
+    def test_segment_is_length_and_factor(self):
+        assert [f.name for f in dataclasses.fields(Segment)] == ["length", "factor"]
+        for length in (0, -3):
+            with pytest.raises(ValueError, match="segment length"):
+                Segment(length, 1.0)
 
     def test_metadata_copied(self):
         bundle = make_bundle(40, seed=5)
@@ -271,10 +279,11 @@ class TestRhythmPerturb:
             win_length=1024,
         )
         out, plan = rhythm_perturb(bundle, RpmConfig(seed=20240601), "LA_T_0001")
-        assert [(s.start, s.length, s.factor) for s in plan.segments] == [
-            (0, 19, 1.4105369761238291),
-            (19, 21, 1.172158571973413),
-            (40, 24, 0.9291771599967595),
+        assert plan.starts() == [0, 19, 40]
+        assert [(s.length, s.factor) for s in plan.segments] == [
+            (19, 1.4105369761238291),
+            (21, 1.172158571973413),
+            (24, 0.9291771599967595),
         ]
         assert out.n_frames == 74
         assert (
@@ -297,7 +306,7 @@ class TestRhythmPerturb:
 
 class TestPlanJson:
     def test_round_trip_and_schema(self):
-        plan = SegmentPlan(segments=(Segment(0, 19, 1.25), Segment(19, 5, 0.75)))
+        plan = SegmentPlan(segments=(Segment(19, 1.25), Segment(5, 0.75)))
         text = plan.to_json("LA_T_9", 77)
         doc = json.loads(text)
         assert doc["utt_id"] == "LA_T_9"
