@@ -246,14 +246,11 @@ def cmd_eer(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _int_at_least(lowest: int) -> Callable[[str], int]:
-    def integer(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as an invalid value
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
-        return value
-
-    return integer
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _positive_float(text: str) -> float:
@@ -272,7 +269,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run config (strict keys)")
-    common.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker count")
+    common.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker count")
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("manifest")
 
@@ -287,9 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", parents=[common], help="copy-synthesize bonafide entries")
     p.add_argument("--rpm", choices=("on", "off"), default="on")
-    p.add_argument("--seed", type=_int_at_least(0), help="override rpm.seed")
-    p.add_argument("--factor-lo", type=_positive_float, default=None)
-    p.add_argument("--factor-hi", type=_positive_float, default=None)
+    # Flags only convert; RpmConfig judges their values with the config file's.
+    p.add_argument("--seed", type=int, help="override rpm.seed")
+    p.add_argument("--factor-lo", type=float, help="override rpm.factor_lo")
+    p.add_argument("--factor-hi", type=float, help="override rpm.factor_hi")
     p.add_argument("--save-features", action="store_true")
     p.set_defaults(func=cmd_augment)
 

@@ -1,9 +1,10 @@
 """Numeric kernel: framing, the Hann window, overlap-add, LPC, filtering, resampling.
 
-All functions operate on plain float64 numpy arrays and are pure; audio
-container types live in audio_io.  The LPC kernels work on stacks of frames
-(one row per frame) and loop only over lag or order; their 1-D forms are
-one-row calls into the same code.
+Functions take float64 numpy arrays and are pure, but ola_accumulate adds into
+``out`` and check_field_types checks a config's fields and stores its numbers
+as Python ints and floats.  Audio container types live in audio_io.  The LPC
+kernels work on stacks of frames (one row per frame) and loop only over lag
+or order; their 1-D forms are one-row calls into the same code.
 """
 
 from __future__ import annotations

@@ -94,6 +94,10 @@ class SegmentPlan:
 
     segments: tuple[Segment, ...]
 
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("a segment plan needs at least one segment")
+
     @property
     def total_frames(self) -> int:
         return sum(s.length for s in self.segments)

@@ -80,8 +80,8 @@ def griffin_lim(
     # C order like the buffers below: mel_to_linear returns a transposed
     # view, and mixed layouts slow every elementwise step of the loop.
     target = np.ascontiguousarray(magnitudes, dtype=np.float64)
-    if target.ndim != 2:
-        raise ShapeMismatchError(f"magnitudes must be 2-D, got shape {target.shape}")
+    if target.ndim != 2 or target.shape[0] == 0:
+        raise ShapeMismatchError(f"magnitudes must be a 2-D frame stack, got shape {target.shape}")
     if not np.all(np.isfinite(target)) or np.any(target < 0.0):
         raise ValueError("magnitudes must be finite and nonnegative")
     win, hop = spec.win_length, spec.hop_length

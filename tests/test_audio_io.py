@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import stat
 import struct
 from dataclasses import replace
@@ -287,6 +288,27 @@ class TestAudioBuffer:
             audio_io.write_wav(path, buf, "float32")
             back = audio_io.read_wav(path)
             assert len(back) == n and back.sample_rate == rate
+
+
+def _bundle(mel, f0):
+    return FeatureBundle(mel=mel, f0=f0, sample_rate=16000.0, hop_length=256, win_length=1024)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: AudioBuffer(np.zeros((2, 2)), 16000), ValueError,
+     "samples must be 1-D, got shape (2, 2)"),
+    (lambda tmp: _bundle(np.zeros(4), np.zeros(4)), ValueError, "mel must be 2-D, got shape (4,)"),
+    (lambda tmp: _bundle(np.zeros((4, 2)), np.zeros(3)), ValueError,
+     "mel has 4 frames but f0 has shape (3,)"),
+    (lambda tmp: audio_io.write_wav(tmp / "x.wav", AudioBuffer(np.zeros(4), 16000), "pcm24"),
+     ValueError, "encoding must be one of ['float32', 'pcm16'], got 'pcm24'"),
+    (lambda tmp: audio_io.read_features(tmp / "missing.rfb"), FileNotFoundError,
+     "no such feature file"),
+], ids=["samples-2-d", "mel-1-d", "f0-frame-count", "unknown-encoding", "missing-feature-file"])
+def test_bad_input_rejected(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _lpc():

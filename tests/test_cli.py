@@ -4,6 +4,7 @@ import importlib.util
 import json
 import logging
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -82,6 +83,19 @@ class TestGlottalCommand:
         assert main(["glottal", str(manifest), "--out", str(out)]) == 2
         assert len(list(out.glob("*.glottal.wav"))) == 4
         assert any("missing" in rec.message for rec in caplog.records)
+
+    def test_orders_that_do_not_fit_the_rate_fail_the_file(self, tmp_path, caplog):
+        # At 2 kHz the default vocal_tract_order resolves to round(2 + 2) = 4 = glottal_order.
+        root = tmp_path / "corpus"
+        root.mkdir()
+        audio_io.write_wav(root / "low.wav", am_harmonic_signal(fs=2000), "pcm16")
+        manifest = root / "manifest.tsv"
+        manifest.write_text("low\tlow.wav\tbonafide\t-\n")
+        out = tmp_path / "out"
+        assert main(["glottal", str(manifest), "--out", str(out)]) == 2
+        assert not (out / "low.glottal.wav").exists()
+        assert ("low: ValueError: need 0 < glottal_order < vocal_tract_order < win_length, "
+                "got g=4 p=4 win=50") in [rec.getMessage() for rec in caplog.records]
 
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "empty.tsv"
@@ -549,11 +563,12 @@ class TestConfig:
         assert main(["glottal", str(corpus), "--out", str(out), "--config", str(bad)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--jobs", "-2"], ["--seed", "-5"],
-                                      ["--jobs", "two"]])
+    @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--jobs", "-2"], ["--jobs", "two"],
+                                      ["--seed", "1.5"], ["--factor-lo", "low"]])
     def test_bad_flags_rejected_at_parse(self, corpus, tmp_path, flag, capsys):
+        # Only text that is no number fails here; RpmConfig judges the numbers.
         out = tmp_path / "o"
-        command = "augment" if flag[0] == "--seed" else "glottal"  # --seed is augment's alone
+        command = "glottal" if flag[0] == "--jobs" else "augment"
         assert main([command, str(corpus), "--out", str(out)] + flag) == 1
         assert not out.exists()
         assert f"error: argument {flag[0]}: " in capsys.readouterr().err
@@ -669,6 +684,18 @@ class TestConfig:
         section = README.read_text(encoding="utf-8").split("## Library\n", 1)[1]
         exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
 
+    def test_readme_cli_examples_parse(self):
+        section = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [argv for argv in commands if argv]
+        assert {argv[1] for argv in commands} == {"glottal", "features", "augment",
+                                                  "speedperturb", "eer"}
+        parser = cli.build_parser()
+        for argv in commands:
+            assert argv[0] == "rhythmkit"
+            parser.parse_args(argv[1:])  # a flag the parser lacks exits here
+
     @pytest.mark.parametrize("make, field", [
         (lambda: GriffinLimConfig(n_iters=2.5), "n_iters"),
         (lambda: GriffinLimConfig(n_iters=np.inf), "n_iters"),
@@ -722,10 +749,10 @@ class TestConfig:
     "fmax-below-fmin", "fmax-zero", "n-fft-odd", "vt-order-not-above-glottal",
     "config-duplicate-key", "rpm-not-object-with-flag", "root-not-object-with-flag",
     "old-griffin-lim-keys", "old-window-keys", "old-n-fft-key",
-    "old-top-level-seed", "seed-2-to-the-64", "seed-on-glottal", "seed-on-features",
-    "config-400-digit-int",
+    "old-top-level-seed", "seed-negative", "seed-2-to-the-64", "factor-lo-nan",
+    "seed-on-glottal", "seed-on-features", "config-400-digit-int",
 ])
-def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
+def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case, caplog):
     out = tmp_path / "out"
     bad = tmp_path / "bad"
     bad.write_bytes(b"\xff\xfe not utf-8\n")
@@ -789,13 +816,24 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case):
         "old-window-keys": ["glottal", str(corpus), "--out", str(out), "--config", str(old_window)],
         "old-n-fft-key": ["features", str(corpus), "--out", str(out), "--config", str(old_n_fft)],
         "old-top-level-seed": augment + ["--config", str(top_seed)],
+        "seed-negative": augment + ["--seed", "-5"],
         "seed-2-to-the-64": augment + ["--seed", str(2**64)],
+        "factor-lo-nan": augment + ["--factor-lo", "nan"],
         "seed-on-glottal": ["glottal", str(corpus), "--out", str(out), "--seed", "5"],
         "seed-on-features": ["features", str(corpus), "--out", str(out), "--seed", "5"],
         "config-400-digit-int": ["glottal", str(corpus), "--out", str(out), "--config", str(huge)],
     }[case]
     assert main(argv) == 1
     assert not out.exists()
+    # A flag value breaks the same rule, with the same message, as the config key it sets.
+    message = {
+        "seed-negative": "rpm: seed must be an integer in [0, 2**64), got -5",
+        "seed-2-to-the-64": f"rpm: seed must be an integer in [0, 2**64), got {2**64}",
+        "factor-lo-0": "rpm: need 0 < factor_lo <= factor_hi, got [0.0, 1.5]",
+        "factor-lo-nan": "rpm: factor_lo must be finite, got nan",
+    }.get(case)
+    if message is not None:
+        assert message in [rec.getMessage() for rec in caplog.records]
 
 
 class TestBenchmarkHooks:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -256,6 +257,26 @@ def _resample_oracle(x, factor):
         frac = pos - lo
         out.append(float(x[lo] + frac * (x[lo + 1] - x[lo])))
     return out
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dsp.LpcModel(coeffs=np.array([np.nan]), gain=1.0), ValueError,
+     "LPC coefficients must be finite"),
+    (lambda: dsp.LpcModel(coeffs=np.zeros(2), gain=-1.0), ValueError,
+     "gain must be finite and nonnegative, got -1.0"),
+    (lambda: dsp.overlap_add(np.zeros((0, 4)), dsp.FrameSpec(4, 2)), ShapeMismatchError,
+     "overlap_add needs a non-empty 2-D frame stack"),
+    (lambda: dsp.inverse_filter_rows(np.zeros((3, 10)), np.zeros((2, 4))), ValueError,
+     "2 coefficient rows do not match padded rows of shape (3, 10)"),
+    (lambda: dsp.linear_resample(np.zeros((2, 2, 2)), 1.5), ValueError,
+     "expected 1-D or 2-D input, got ndim=3"),
+    (lambda: dsp.linear_resample(np.zeros(0), 1.5), ValueError,
+     "cannot resample an empty sequence"),
+], ids=["nan-coeffs", "negative-gain", "overlap-add-no-frames", "inverse-filter-row-count",
+        "resample-3-d", "resample-empty"])
+def test_bad_input_rejected(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestLinearResample:

@@ -117,6 +117,11 @@ class TestEstimateF0:
         buf = AudioBuffer(samples=np.zeros(4096), sample_rate=FS)
         assert np.all(estimate_f0(buf, FeatureConfig()) == 0.0)
 
+    def test_no_admissible_lag_is_unvoiced(self):
+        # At 8 kHz no integer lag lies in [8000/402, 8000/401] = [19.9, 19.95].
+        f0 = estimate_f0(sine(400.0, fs=8000), FeatureConfig(f0_min=401.0, f0_max=402.0))
+        assert len(f0) > 0 and np.all(f0 == 0.0)
+
     def test_range_invariant(self):
         rng = np.random.default_rng(12)
         cfg = FeatureConfig()

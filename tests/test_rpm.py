@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,15 @@ def make_bundle(n_frames, n_mels=8, f0_value=200.0, seed=None):
         mel = rng.uniform(-23.0, 3.0, (n_frames, n_mels))
         f0 = np.where(rng.random(n_frames) < 0.3, 0.0, rng.uniform(50.0, 400.0, n_frames))
     return FeatureBundle(mel=mel, f0=f0, sample_rate=16000.0, hop_length=256, win_length=1024)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SplitMix64(0).next_int(3, 2), "empty range [3, 2]"),
+    (lambda: sample_segment_plan(0, RpmConfig(), SplitMix64(0)), "total_frames must be >= 1, got 0"),
+], ids=["next-int-empty-range", "plan-for-no-frames"])
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestSplitMix64:
@@ -240,6 +250,13 @@ class TestApplyPlan:
         for length in (0, -3):
             with pytest.raises(ValueError, match="segment length"):
                 Segment(length, 1.0)
+
+    def test_plan_holds_a_segment(self):
+        with pytest.raises(ValueError, match="at least one segment"):
+            SegmentPlan(())
+        empty = make_bundle(0)
+        with pytest.raises(PlanMismatchError, match="plan covers 1 frames, bundle has 0"):
+            apply_plan(empty, SegmentPlan((Segment(1, 1.0),)))
 
     def test_metadata_copied(self):
         bundle = make_bundle(40, seed=5)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,12 @@ class TestGriffinLim:
     def test_rejects_bins_that_do_not_fit_spec(self, bins, spec):
         with pytest.raises(ShapeMismatchError, match=f"got {bins} bins for win_length {spec.win_length}"):
             griffin_lim(np.ones((4, bins)), spec, GriffinLimConfig(n_iters=1), FS)
+
+    @pytest.mark.parametrize("shape", [(513,), (0, 513), (1, 2, 513)],
+                             ids=["1-D", "no-frames", "3-D"])
+    def test_rejects_magnitudes_that_are_no_frame_stack(self, shape):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"frame stack, got shape {shape}")):
+            griffin_lim(np.zeros(shape), FeatureConfig().frame, GriffinLimConfig(n_iters=1), FS)
 
     def test_rejects_bad_magnitudes(self):
         cfg = FeatureConfig()
