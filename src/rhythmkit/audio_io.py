@@ -6,6 +6,8 @@ Samples are held as float64 internally regardless of file encoding.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import struct
 import uuid
@@ -56,9 +58,14 @@ class AudioBuffer:
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite (no NaN/Inf)")
         object.__setattr__(self, "samples", samples)
-        if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate}")
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        rate = self.sample_rate
+        try:  # NaN and +-inf are not finite; an int past float range raises OverflowError
+            whole = isinstance(rate, numbers.Real) and math.isfinite(rate) and int(rate) == rate
+        except OverflowError:
+            whole = False
+        if isinstance(rate, bool) or not whole or rate <= 0:
+            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+        object.__setattr__(self, "sample_rate", int(rate))
 
     def __len__(self) -> int:
         return len(self.samples)

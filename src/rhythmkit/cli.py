@@ -194,9 +194,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
     )
     spoof_manifest = Path(args.out) / "manifest.tsv"
     if spoof_manifest.exists() and spoof_manifest.samefile(args.manifest):
-        log.error("augment: the spoof manifest %s would replace the input manifest %s; "
-                  "choose another --out", spoof_manifest, args.manifest)
-        return EXIT_USAGE
+        raise RhythmkitError(f"augment: the spoof manifest {spoof_manifest} would replace "
+                             f"the input manifest {args.manifest}; choose another --out")
     use_rpm = args.rpm == "on"
     attack_tag = "RPM" if use_rpm else "COPY"
 
@@ -260,12 +259,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # argparse default exits 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run config (strict keys)")
@@ -273,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("manifest")
 
-    parser = _Parser(prog="rhythmkit", description=__doc__)
+    parser = argparse.ArgumentParser(prog="rhythmkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("glottal", parents=[common], help="extract glottal flow per manifest entry")
@@ -310,8 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (RhythmkitError, OSError) as exc:

@@ -325,30 +325,25 @@ def linear_resample(seq: np.ndarray, factor: float) -> np.ndarray:
     x = np.asarray(seq, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected 1-D or 2-D input, got ndim={x.ndim}")
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
     length = x.shape[0]
     if length < 1:
         raise ValueError("cannot resample an empty sequence")
     if factor == 1.0:
-        out = x.copy()
-    else:
-        out_len = resampled_length(length, factor)
-        if out_len == 1:
-            out = x[:1].copy()
-        elif length == 1:
-            out = np.repeat(x, out_len, axis=0)
-        else:
-            # Multiply before dividing so position L'-1 lands on L-1 exactly.
-            pos = (np.arange(out_len) * float(length - 1)) / float(out_len - 1)
-            lo = np.minimum(pos.astype(np.int64), length - 2)
-            frac = (pos - lo)[:, None]
-            xlo = x[lo]
-            xhi = x[lo + 1]
-            out = xlo + frac * (xhi - xlo)
-            # Rounding must not push values outside the bracketing samples.
-            np.clip(out, np.minimum(xlo, xhi), np.maximum(xlo, xhi), out=out)
-            out[0] = x[0]
-            out[-1] = x[length - 1]
-    return out[:, 0] if squeeze else out
+        return x.copy()
+    out_len = resampled_length(length, factor)
+    if out_len == 1 or length == 1:
+        return np.repeat(x[:1], out_len, axis=0)
+    # Multiply before dividing so position L'-1 lands on L-1 exactly.
+    pos = (np.arange(out_len) * float(length - 1)) / float(out_len - 1)
+    lo = np.minimum(pos.astype(np.int64), length - 2)
+    frac = pos - lo
+    if x.ndim == 2:
+        frac = frac[:, None]
+    xlo = x[lo]
+    xhi = x[lo + 1]
+    out = xlo + frac * (xhi - xlo)
+    # Rounding must not push values outside the bracketing samples.
+    np.clip(out, np.minimum(xlo, xhi), np.maximum(xlo, xhi), out=out)
+    out[0] = x[0]
+    out[-1] = x[length - 1]
+    return out

@@ -150,7 +150,8 @@ def apply_plan(
 
     F0 is interpolated through unvoiced 0.0 sentinels; interpolated values
     that fall below ``f0_floor`` snap back to 0.0 so no impossible pitch is
-    emitted. Framing metadata is copied unchanged.
+    emitted; a bundle from a non-default FeatureConfig needs
+    ``f0_floor=cfg.f0_min``. Framing metadata is copied unchanged.
     """
     if not plan.tiles(bundle.n_frames):
         raise PlanMismatchError(
@@ -177,6 +178,7 @@ def rhythm_perturb(
     """Sample a segment plan keyed on (seed, utt_id) and apply it.
 
     Returns the perturbed bundle together with the plan for provenance.
+    ``f0_floor`` is as in apply_plan: pass the extracting config's f0_min.
     """
     rng = rng_for_utterance(cfg.seed, utt_id)
     plan = sample_segment_plan(bundle.n_frames, cfg, rng)

@@ -280,6 +280,14 @@ class TestAudioBuffer:
         with pytest.raises(ValueError):
             AudioBuffer(samples=np.zeros(4), sample_rate=0)
 
+    @pytest.mark.parametrize("rate", [np.inf, -np.inf, np.nan, "abc", None, True, 10**400],
+                             ids=["inf", "-inf", "nan", "abc", "None", "True", "10**400"])
+    def test_rate_that_is_no_finite_real_rejected_by_its_own_check(self, rate):
+        # Checked before int(), which raises its own error on most of these
+        # and reads True as 1 Hz; 10**400 would fail only later, in float math.
+        with pytest.raises(ValueError, match="sample_rate must be a positive integer"):
+            AudioBuffer(samples=np.zeros(4), sample_rate=rate)
+
     def test_length_and_rate_preserved_via_file(self, tmp_path):
         rng = np.random.default_rng(2)
         for n, rate in ((17, 8000), (1000, 16000), (44100, 44100)):

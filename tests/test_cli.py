@@ -573,6 +573,16 @@ class TestConfig:
         assert not out.exists()
         assert f"error: argument {flag[0]}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["--help"], 0, "out", "usage: rhythmkit"),
+        (["augment", "--help"], 0, "out", "usage: rhythmkit augment"),
+        ([], 1, "err", "rhythmkit: error: the following arguments are required"),
+    ], ids=["help", "augment-help", "no-command"])
+    def test_parser_exits_map_to_exit_codes(self, argv, code, stream, text, capsys):
+        # argparse exits 0 after --help and 2 on a usage error; main returns 0 and 1.
+        assert main(argv) == code
+        assert text in getattr(capsys.readouterr(), stream)
+
     @pytest.mark.parametrize("utt_id", ["../escaped", "a/b", "a\\b", "..", ".", "", "a\x00b"])
     def test_manifest_ids_stay_inside_out(self, corpus, tmp_path, utt_id):
         manifest = corpus.parent / "hostile.tsv"

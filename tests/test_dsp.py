@@ -283,9 +283,11 @@ class TestLinearResample:
     def test_identity_factor_bit_exact(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(33)
-        assert np.array_equal(dsp.linear_resample(x, 1.0), x)
+        x[5] = -0.0
+        assert dsp.linear_resample(x, 1.0).tobytes() == x.tobytes()
         m = rng.standard_normal((17, 4))
-        assert np.array_equal(dsp.linear_resample(m, 1.0), m)
+        m[3, 2] = -0.0
+        assert dsp.linear_resample(m, 1.0).tobytes() == m.tobytes()
 
     def test_two_point_stretch(self):
         assert np.allclose(dsp.linear_resample(np.array([0.0, 1.0]), 1.5), [0.0, 0.5, 1.0])
@@ -316,12 +318,17 @@ class TestLinearResample:
             assert out[0] == x[0]
             assert out[-1] == x[-1]
 
-    def test_columns_resampled_independently(self):
+    @pytest.mark.parametrize("rows, factor", [(9, 1.4), (1, 3.0), (5, 0.1), (7, 1.0)],
+                             ids=["stretch", "grow-from-one-row", "collapse-to-one-row",
+                                  "identity"])
+    def test_columns_resampled_independently(self, rows, factor):
         rng = np.random.default_rng(6)
-        m = rng.standard_normal((9, 3))
-        out = dsp.linear_resample(m, 1.4)
+        m = rng.standard_normal((rows, 3))
+        out = dsp.linear_resample(m, factor)
         for col in range(3):
-            assert np.array_equal(out[:, col], dsp.linear_resample(m[:, col], 1.4))
+            column = dsp.linear_resample(m[:, col], factor)
+            assert out.shape == (len(column), 3)
+            assert out[:, col].tobytes() == column.tobytes()
 
     def test_collapse_and_expand_edges(self):
         x = np.array([3.0, -1.0, 5.0])

@@ -6,8 +6,8 @@ import pytest
 from conftest import FS, am_harmonic_signal, sine, two_formant_voice
 from rhythmkit import dsp
 from rhythmkit.errors import ShapeMismatchError
-from rhythmkit.features import FeatureConfig, mel_filterbank, stft_magnitude
-from rhythmkit.rpm import RpmConfig
+from rhythmkit.features import FeatureConfig, extract_features, mel_filterbank, stft_magnitude
+from rhythmkit.rpm import RpmConfig, rhythm_perturb
 from rhythmkit.synthesis import (
     GriffinLimConfig,
     copy_synthesize,
@@ -194,6 +194,17 @@ class TestCopySynthesize:
             am_harmonic_signal(seed=5), cfg, RpmConfig(seed=1), GriffinLimConfig(n_iters=1), "u9"
         )
         assert res.features.f0.shape == (res.features.n_frames,)
+
+    def test_f0_floor_is_the_extracting_configs_f0_min(self):
+        cfg = FeatureConfig(f0_min=100.0)
+        buf, _ = two_formant_voice(seconds=3.0)
+        res = copy_synthesize(buf, cfg, RpmConfig(seed=0), GriffinLimConfig(n_iters=1), "u")
+        f0 = res.features.f0
+        assert not np.any((f0 > 0.0) & (f0 < 100.0))
+        # At the default 50 Hz floor the same plan leaves such frames, so the
+        # check above would catch copy_synthesize dropping its f0_floor.
+        default, _ = rhythm_perturb(extract_features(buf, cfg), RpmConfig(seed=0), "u")
+        assert np.any((default.f0 > 0.0) & (default.f0 < 100.0))
 
     @pytest.mark.xfail(
         strict=True,
