@@ -190,6 +190,13 @@ def _check_byte_rate(path: str | Path, sample_rate: int, bits: int) -> None:
                                      f"at {bits} bits overflows 32 bits")
 
 
+def check_wav_length(path: str | Path, n_samples: int, encoding: str) -> None:
+    """Reject a sample count whose RIFF size (36 header bytes, 48 with a fact chunk) passes 32 bits."""
+    _, bits, dtype, _ = WAV_ENCODINGS[encoding]
+    if 36 + 12 * (np.dtype(dtype).kind == "f") + n_samples * (bits // 8) > 0xFFFFFFFF:
+        raise UnsupportedFormatError(f"{path}: too many samples for a {encoding} WAV's 32-bit RIFF size")
+
+
 def read_wav_encoded(path: str | Path) -> tuple[AudioBuffer, str]:
     """Decode a mono WAV file and name its encoding, a key of WAV_ENCODINGS.
 
@@ -235,6 +242,7 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
         raise ValueError(f"encoding must be one of {sorted(WAV_ENCODINGS)}, got {encoding!r}")
     audio_format, bits, dtype, full_scale = WAV_ENCODINGS[encoding]
     _check_byte_rate(path, buf.sample_rate, bits)
+    check_wav_length(path, len(buf), encoding)
     values = buf.samples
     if np.dtype(dtype).kind == "i":
         info = np.iinfo(dtype)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import audio_io, dsp, evaluation
-from .audio_io import WAV_ENCODINGS, AudioBuffer, ManifestEntry
+from .audio_io import AudioBuffer, ManifestEntry
 from .errors import RhythmkitError
 from .features import FeatureConfig, extract_features
 from .glottal import IaifConfig, extract_glottal_flow
@@ -36,20 +36,9 @@ class ConfigError(RhythmkitError):
 
 
 @dataclass(frozen=True)
-class AudioConfig:
-    encoding: str = "pcm16"
-
-    def __post_init__(self) -> None:
-        dsp.check_field_types(self)
-        if self.encoding not in WAV_ENCODINGS:
-            raise ValueError(f"encoding {self.encoding!r} not in {list(WAV_ENCODINGS)}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """The run-config document: one section per stage config, one key per field."""
 
-    audio: AudioConfig = AudioConfig()
     iaif: IaifConfig = IaifConfig()
     features: FeatureConfig = FeatureConfig()
     rpm: RpmConfig = RpmConfig()
@@ -169,7 +158,7 @@ def cmd_glottal(args: argparse.Namespace) -> int:
 
     def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> None:
         result = extract_glottal_flow(buf, cfg.iaif)
-        audio_io.write_wav(out_dir / f"{entry.utt_id}.glottal.wav", result.flow, cfg.audio.encoding)
+        audio_io.write_wav(out_dir / f"{entry.utt_id}.glottal.wav", result.flow)
         if result.unstable_frames:
             log.warning("%s: unstable LPC in %d of %d frames; passed them through raw",
                         entry.utt_id, result.unstable_frames, result.total_frames)
@@ -211,7 +200,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
             buf, cfg.features, cfg.rpm if use_rpm else None, cfg.griffin_lim, entry.utt_id
         )
         wav_name = f"{entry.utt_id}.synth.wav"
-        audio_io.write_wav(out_dir / wav_name, result.audio, cfg.audio.encoding)
+        audio_io.write_wav(out_dir / wav_name, result.audio)
         if result.plan is not None:
             plan_path = out_dir / f"{entry.utt_id}.plan.json"
             write_plan(plan_path, result.plan, entry.utt_id, cfg.rpm.seed)
@@ -227,6 +216,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def cmd_speedperturb(args: argparse.Namespace) -> int:
     buf, encoding = audio_io.read_wav_encoded(args.input)
+    audio_io.check_wav_length(args.output, dsp.resampled_length(len(buf), args.factor), encoding)
     out = speed_perturb(buf, args.factor)
     Path(args.output).parent.mkdir(parents=True, exist_ok=True)
     audio_io.write_wav(args.output, out, encoding)

@@ -197,6 +197,26 @@ class TestWriteWav:
             audio_io.write_wav(path, AudioBuffer(samples=np.zeros(4), sample_rate=rate), encoding)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("encoding", sorted(audio_io.WAV_ENCODINGS))
+    def test_riff_size_past_32_bits_rejected(self, tmp_path, encoding):
+        # The bound follows write_wav's own layout: RIFF size = header + samples * width.
+        path = tmp_path / "one.wav"
+        audio_io.write_wav(path, AudioBuffer(samples=np.zeros(1), sample_rate=8000), encoding)
+        width = audio_io.WAV_ENCODINGS[encoding][1] // 8
+        limit = (0xFFFFFFFF - (len(path.read_bytes()) - 8 - width)) // width
+        audio_io.check_wav_length(path, limit, encoding)
+        for n in (limit + 1, 2 * limit, 10**400):
+            with pytest.raises(UnsupportedFormatError, match="32-bit RIFF size"):
+                audio_io.check_wav_length(path, n, encoding)
+
+        class Huge(AudioBuffer):  # a length past the bound without allocating it
+            def __len__(self):
+                return limit + 1
+
+        with pytest.raises(UnsupportedFormatError, match="32-bit RIFF size"):
+            audio_io.write_wav(tmp_path / "huge.wav", Huge(np.zeros(1), 8000), encoding)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.wav"]
+
     def test_encoding_probe(self, tmp_path):
         buf = AudioBuffer(samples=np.zeros(8), sample_rate=8000)
         audio_io.write_wav(tmp_path / "a.wav", buf, "pcm16")
