@@ -9,19 +9,18 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from . import audio_io, dsp, evaluation
+from . import audio_io, evaluation
 from .audio_io import AudioBuffer, ManifestEntry
 from .errors import RhythmkitError
 from .features import FeatureConfig, extract_features
 from .glottal import IaifConfig, extract_glottal_flow
-from .rpm import RpmConfig, speed_perturb, write_plan
+from .rpm import RpmConfig, write_plan
 from .synthesis import GriffinLimConfig, copy_synthesize
 
 log = logging.getLogger("rhythmkit")
@@ -214,16 +213,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_speedperturb(args: argparse.Namespace) -> int:
-    buf, encoding = audio_io.read_wav_encoded(args.input)
-    audio_io.check_wav_length(args.output, dsp.resampled_length(len(buf), args.factor), encoding)
-    out = speed_perturb(buf, args.factor)
-    Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-    audio_io.write_wav(args.output, out, encoding)
-    log.info("speedperturb: %s -> %s (factor %g)", args.input, args.output, args.factor)
-    return EXIT_OK
-
-
 def cmd_eer(args: argparse.Namespace) -> int:
     scores = evaluation.read_scores(args.scorefile)
     groups = evaluation.load_attack_groups(args.mapping) if args.mapping else None
@@ -239,13 +228,6 @@ def _positive_int(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)  # argparse reports a ValueError as an invalid value
-    if not 0.0 < value < math.inf:  # false for nan too
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
     return value
 
 
@@ -273,12 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor-hi", type=float, help="override rpm.factor_hi")
     p.add_argument("--save-features", action="store_true")
     p.set_defaults(func=cmd_augment)
-
-    p = sub.add_parser("speedperturb", help="waveform-domain time scaling of one file")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--factor", type=_positive_float, required=True)
-    p.set_defaults(func=cmd_speedperturb)
 
     p = sub.add_parser("eer", help="pooled and per-attack EER report from a score TSV")
     p.add_argument("scorefile")

@@ -61,6 +61,7 @@ HOSTILE_WAVS = {
                                 (b"data", b"\x00" * 8)), "overflows 32 bits"),
     "float32-at-2**30-hz": (_riff((b"fmt ", struct.pack("<HHIIHH", 3, 1, 2**30, 0, 4, 32)),
                                   (b"data", b"\x00" * 8)), "overflows 32 bits"),
+    "rate-0": (_raw_wav(1, 1, 0, 16, b"\x00" * 8), "sample_rate=0"),
 }
 
 

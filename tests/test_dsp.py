@@ -424,6 +424,8 @@ class TestBatchedRows:
     def _check_levinson(self, r, order):
         batch = dsp.levinson_rows(r, order)
         assert batch.coeffs.shape == batch.reflections.shape == (len(r), order)
+        # Row-major, as inverse_filter_rows reads each row's taps.
+        assert batch.coeffs.flags.c_contiguous and batch.reflections.flags.c_contiguous
         for i, row in enumerate(r):
             if not row[0] > 0.0:
                 assert not batch.unstable[i]
