@@ -122,17 +122,19 @@ def _run_manifest(
     args: argparse.Namespace,
     cfg: RunConfig,
     label: str,
-    worker: Callable[[ManifestEntry, AudioBuffer, Path], Any],
+    worker: Callable[[ManifestEntry, AudioBuffer, Path], ManifestEntry],
     select: Callable[[list[ManifestEntry]], list[ManifestEntry]] = list,
-) -> tuple[int, list[Any] | None]:
-    """Shared batch steps: read the manifest, echo the config, run worker(entry,
-    audio, out_dir) on the selected entries and log a summary.
-
-    Returns the exit code and the results of the files that succeeded, or
-    (EXIT_OK, None) when nothing was selected."""
+) -> int:
+    """Shared batch steps: refuse an --out whose manifest.tsv is the input, read the
+    manifest, echo the config, run worker(entry, audio, out_dir) on the selected
+    entries, log a summary and list the entries they return in out_dir/manifest.tsv."""
     manifest_path = Path(args.manifest)
-    entries = audio_io.read_manifest(manifest_path)
     out_dir = Path(args.out)
+    out_manifest = out_dir / "manifest.tsv"
+    if out_manifest.exists() and out_manifest.samefile(manifest_path):
+        raise RhythmkitError(f"{label}: the output manifest {out_manifest} would replace "
+                             f"the input manifest {manifest_path}; choose another --out")
+    entries = audio_io.read_manifest(manifest_path)
     # Written before any output file so every run directory is self-describing.
     out_dir.mkdir(parents=True, exist_ok=True)
     audio_io.write_file(
@@ -141,38 +143,42 @@ def _run_manifest(
     selected = select(entries)
     if not selected:
         log.warning("%s: nothing to do in manifest %s", label, manifest_path)
-        return EXIT_OK, None
+        return EXIT_OK
 
-    def run(entry: ManifestEntry) -> Any:
+    def run(entry: ManifestEntry) -> ManifestEntry:
         # Relative to the manifest's directory; an absolute path replaces it.
         return worker(entry, audio_io.read_wav(manifest_path.parent / entry.path), out_dir)
 
-    results = [r for r in _run_batch(selected, run, args.jobs) if not isinstance(r, Exception)]
-    log.info("%s: %d/%d files ok", label, len(results), len(selected))
-    return (EXIT_PARTIAL if len(results) < len(selected) else EXIT_OK), results
+    written = [r for r in _run_batch(selected, run, args.jobs) if not isinstance(r, Exception)]
+    log.info("%s: %d/%d files ok", label, len(written), len(selected))
+    audio_io.write_manifest(out_manifest, written)
+    return EXIT_PARTIAL if len(written) < len(selected) else EXIT_OK
 
 
 def cmd_glottal(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
 
-    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> None:
+    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> ManifestEntry:
         result = extract_glottal_flow(buf, cfg.iaif)
-        audio_io.write_wav(out_dir / f"{entry.utt_id}.glottal.wav", result.flow)
+        name = f"{entry.utt_id}.glottal.wav"
+        audio_io.write_wav(out_dir / name, result.flow)
         if result.unstable_frames:
             log.warning("%s: unstable LPC in %d of %d frames; passed them through raw",
                         entry.utt_id, result.unstable_frames, result.total_frames)
+        return replace(entry, path=name)
 
-    return _run_manifest(args, cfg, "glottal", worker)[0]
+    return _run_manifest(args, cfg, "glottal", worker)
 
 
 def cmd_features(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
 
-    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> None:
-        bundle = extract_features(buf, cfg.features)
-        audio_io.write_features(out_dir / f"{entry.utt_id}.rfb", bundle)
+    def worker(entry: ManifestEntry, buf: AudioBuffer, out_dir: Path) -> ManifestEntry:
+        name = f"{entry.utt_id}.rfb"
+        audio_io.write_features(out_dir / name, extract_features(buf, cfg.features))
+        return replace(entry, path=name)
 
-    return _run_manifest(args, cfg, "features", worker)[0]
+    return _run_manifest(args, cfg, "features", worker)
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -180,10 +186,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
         args.config,
         {"seed": args.seed, "factor_lo": args.factor_lo, "factor_hi": args.factor_hi},
     )
-    spoof_manifest = Path(args.out) / "manifest.tsv"
-    if spoof_manifest.exists() and spoof_manifest.samefile(args.manifest):
-        raise RhythmkitError(f"augment: the spoof manifest {spoof_manifest} would replace "
-                             f"the input manifest {args.manifest}; choose another --out")
     use_rpm = args.rpm == "on"
     attack_tag = "RPM" if use_rpm else "COPY"
 
@@ -207,10 +209,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
             audio_io.write_features(out_dir / f"{entry.utt_id}.rfb", result.features)
         return ManifestEntry(utt_id=entry.utt_id, path=wav_name, key="spoof", attack=attack_tag)
 
-    code, results = _run_manifest(args, cfg, f"augment({attack_tag})", worker, bonafide)
-    if results is not None:
-        audio_io.write_manifest(spoof_manifest, results)
-    return code
+    return _run_manifest(args, cfg, f"augment({attack_tag})", worker, bonafide)
 
 
 def cmd_eer(args: argparse.Namespace) -> int:

@@ -45,6 +45,8 @@ class FeatureConfig:
             raise ValueError(f"win_length must be even, got {self.win_length}")
         if self.n_mels < 1:
             raise ValueError(f"n_mels must be positive, got {self.n_mels}")
+        if self.n_mels > self.win_length // 2 + 1:  # centres are distinct bins in [0, win/2]
+            raise ValueError(f"n_mels must be at most win_length // 2 + 1, got {self.n_mels}")
         if self.fmin < 0.0:
             raise ValueError(f"fmin must be nonnegative, got {self.fmin}")
         if self.fmax is not None and self.fmax <= self.fmin:  # Nyquist is checked per file

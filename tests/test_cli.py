@@ -11,7 +11,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,23 @@ class TestGlottalCommand:
         assert ("low: ValueError: need 0 < glottal_order < vocal_tract_order < win_length, "
                 "got g=4 p=4 win=50") in [rec.getMessage() for rec in caplog.records]
 
+    def test_flow_manifest_keeps_labels_and_feeds_features(self, corpus, tmp_path):
+        flows, feats = tmp_path / "flows", tmp_path / "feats"
+        assert main(["glottal", str(corpus), "--out", str(flows), "--jobs", "2"]) == 0
+        entries = audio_io.read_manifest(flows / "manifest.tsv")
+        assert [(e.utt_id, e.path, e.key, e.attack) for e in entries] == [
+            ("utt0", "utt0.glottal.wav", "bonafide", "-"),
+            ("utt1", "utt1.glottal.wav", "bonafide", "-"),
+            ("utt2", "utt2.glottal.wav", "bonafide", "-"),
+            ("sp0", "sp0.glottal.wav", "spoof", "A07"),
+        ]
+        assert main(["features", str(flows / "manifest.tsv"), "--out", str(feats)]) == 0
+        assert audio_io.read_manifest(feats / "manifest.tsv") == [
+            replace(e, path=f"{e.utt_id}.rfb") for e in entries
+        ]
+        for e in entries:
+            assert audio_io.read_features(feats / f"{e.utt_id}.rfb").n_frames > 0
+
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "empty.tsv"
         manifest.write_text("")
@@ -174,6 +191,8 @@ class TestBatchErrors:
         assert sorted(p.name for p in out.glob("*.glottal.wav")) == [
             "sp0.glottal.wav", "utt0.glottal.wav", "utt2.glottal.wav", "utt3.glottal.wav",
         ]
+        entries = audio_io.read_manifest(out / "manifest.tsv")
+        assert [e.utt_id for e in entries] == ["utt0", "utt2", "sp0", "utt3"]
         assert any("utt1: FloatingPointError: overflow" in rec.message for rec in caplog.records)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -187,11 +206,18 @@ class TestBatchErrors:
         assert [e.utt_id for e in entries] == ["utt0", "utt2", "utt3"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_worker_returning_none_succeeds(self, corpus, tmp_path, caplog, jobs):
-        args = argparse.Namespace(manifest=str(corpus), out=str(tmp_path / "out"), jobs=jobs)
+    def test_returned_entries_become_the_manifest(self, corpus, tmp_path, caplog, jobs):
+        out = tmp_path / "out"
+        args = argparse.Namespace(manifest=str(corpus), out=str(out), jobs=jobs)
+
+        def worker(entry, buf, out_dir):
+            return replace(entry, path=f"{entry.utt_id}.noop")
+
         with caplog.at_level(logging.INFO, logger="rhythmkit"):
-            code, results = cli._run_manifest(args, RunConfig(), "noop", lambda *_: None)
-        assert (code, results) == (cli.EXIT_OK, [None] * 4)
+            assert cli._run_manifest(args, RunConfig(), "noop", worker) == cli.EXIT_OK
+        assert audio_io.read_manifest(out / "manifest.tsv") == [
+            replace(e, path=f"{e.utt_id}.noop") for e in audio_io.read_manifest(corpus)
+        ]
         assert "noop: 4/4 files ok" in caplog.messages
         assert not [rec for rec in caplog.records if rec.levelno >= logging.WARNING]
 
@@ -245,6 +271,7 @@ class TestBatchErrors:
         for path in present:
             audio_io.read_wav(path)
         assert len(present) < 5
+        assert not (out / "manifest.tsv").exists()
         if jobs == "1":
             assert len(present) == 2
 
@@ -283,18 +310,6 @@ class TestAugmentCommand:
         assert not list(out.glob("*.plan.json"))
         entries = audio_io.read_manifest(out / "manifest.tsv")
         assert [e.attack for e in entries] == ["COPY"] * 3
-
-    @pytest.mark.parametrize("spelling", ["same", "dotted"])
-    def test_out_over_input_manifest_exits_1_and_writes_nothing(
-        self, corpus, spelling, caplog
-    ):
-        root = corpus.parent
-        before = {p.name: p.read_bytes() for p in root.iterdir()}
-        out = root if spelling == "same" else root / ".." / root.name / "."
-        assert main(["augment", str(corpus), "--out", str(out)]) == 1
-        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
-        message = " ".join(rec.getMessage() for rec in caplog.records)
-        assert str(corpus) in message and str(out / "manifest.tsv") in message
 
     def test_spoof_entries_skipped(self, corpus, tmp_path, caplog):
         out = tmp_path / "aug"
@@ -355,6 +370,19 @@ class TestAugmentCommand:
             assert bundle.n_frames == total
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+@pytest.mark.parametrize("command", ["glottal", "features", "augment"])
+def test_out_over_input_manifest_exits_1_and_writes_nothing(corpus, command, spelling, caplog):
+    root = corpus.parent
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    out = root if spelling == "same" else root / ".." / root.name / "."
+    assert main([command, str(corpus), "--out", str(out)]) == 1
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+    message = " ".join(rec.getMessage() for rec in caplog.records)
+    assert message.startswith(command)
+    assert str(corpus) in message and str(out / "manifest.tsv") in message
+
+
 class TestHostileWavHeaders:
     def test_glottal_fails_each_file(self, tmp_path, caplog):
         lines = []
@@ -365,7 +393,8 @@ class TestHostileWavHeaders:
         manifest.write_text("".join(lines))
         out = tmp_path / "out"
         assert main(["glottal", str(manifest), "--out", str(out)]) == 2
-        assert [p.name for p in out.iterdir()] == ["config.effective.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["config.effective.json", "manifest.tsv"]
+        assert (out / "manifest.tsv").read_bytes() == b""
         for name, (_, message) in HOSTILE_WAVS.items():
             hits = [rec.message for rec in caplog.records
                     if rec.message.startswith(f"{name}: UnsupportedFormatError: ")]
@@ -717,7 +746,7 @@ class TestConfig:
     "config-duplicate-key", "rpm-not-object-with-flag", "root-not-object-with-flag",
     "old-griffin-lim-keys", "old-window-keys", "old-n-fft-key",
     "old-top-level-seed", "old-audio", "seed-negative", "seed-2-to-the-64", "factor-lo-nan",
-    "seed-on-glottal", "seed-on-features", "config-400-digit-int",
+    "seed-on-glottal", "seed-on-features", "config-400-digit-int", "n-mels-past-dft-bins",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case, caplog):
     out = tmp_path / "out"
@@ -757,6 +786,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case, caplog):
     top_seed.write_text('{"seed": 7, "rpm": {"seg_min": 19}}')
     huge = tmp_path / "huge.json"
     huge.write_text('{"iaif": {"win_ms": %s}}' % ("9" * 400))  # beyond float range
+    many_mels = tmp_path / "many_mels.json"
+    many_mels.write_text('{"features": {"n_mels": 514}}')  # a 1024-point frame has 513 bins
     augment = ["augment", str(corpus), "--out", str(out)]
     argv = {
         "manifest-not-utf8": ["glottal", str(bad), "--out", str(out)],
@@ -788,6 +819,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case, caplog):
         "seed-on-glottal": ["glottal", str(corpus), "--out", str(out), "--seed", "5"],
         "seed-on-features": ["features", str(corpus), "--out", str(out), "--seed", "5"],
         "config-400-digit-int": ["glottal", str(corpus), "--out", str(out), "--config", str(huge)],
+        "n-mels-past-dft-bins":
+            ["features", str(corpus), "--out", str(out), "--config", str(many_mels)],
     }[case]
     assert main(argv) == 1
     assert not out.exists()
@@ -798,6 +831,7 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case, caplog):
         "factor-lo-0": "rpm: need 0 < factor_lo <= factor_hi, got [0.0, 1.5]",
         "factor-lo-nan": "rpm: factor_lo must be finite, got nan",
         "old-audio": "unknown keys in config root: ['audio']",
+        "n-mels-past-dft-bins": "features: n_mels must be at most win_length // 2 + 1, got 514",
     }.get(case)
     if message is not None:
         assert message in [rec.getMessage() for rec in caplog.records]
