@@ -125,25 +125,21 @@ def _run_manifest(
     worker: Callable[[ManifestEntry, AudioBuffer, Path], ManifestEntry],
     select: Callable[[list[ManifestEntry]], list[ManifestEntry]] = list,
 ) -> int:
-    """Shared batch steps: refuse an --out whose manifest.tsv is the input, read the
-    manifest, echo the config, run worker(entry, audio, out_dir) on the selected
-    entries, log a summary and list the entries they return in out_dir/manifest.tsv."""
+    """Shared batch steps: read the manifest, refuse an --out that is its directory,
+    echo the config, run worker(entry, audio, out_dir) on the selected entries, log
+    a summary and list the entries they return in out_dir/manifest.tsv (empty if none)."""
     manifest_path = Path(args.manifest)
     out_dir = Path(args.out)
-    out_manifest = out_dir / "manifest.tsv"
-    if out_manifest.exists() and out_manifest.samefile(manifest_path):
-        raise RhythmkitError(f"{label}: the output manifest {out_manifest} would replace "
-                             f"the input manifest {manifest_path}; choose another --out")
     entries = audio_io.read_manifest(manifest_path)
+    if out_dir.is_dir() and out_dir.samefile(manifest_path.parent):
+        raise RhythmkitError(f"{label}: --out {out_dir} is the directory of the input "
+                             f"manifest {manifest_path}; choose another --out")
     # Written before any output file so every run directory is self-describing.
     out_dir.mkdir(parents=True, exist_ok=True)
     audio_io.write_file(
         out_dir / "config.effective.json", json.dumps(asdict(cfg), indent=2) + "\n"
     )
     selected = select(entries)
-    if not selected:
-        log.warning("%s: nothing to do in manifest %s", label, manifest_path)
-        return EXIT_OK
 
     def run(entry: ManifestEntry) -> ManifestEntry:
         # Relative to the manifest's directory; an absolute path replaces it.
@@ -151,7 +147,7 @@ def _run_manifest(
 
     written = [r for r in _run_batch(selected, run, args.jobs) if not isinstance(r, Exception)]
     log.info("%s: %d/%d files ok", label, len(written), len(selected))
-    audio_io.write_manifest(out_manifest, written)
+    audio_io.write_manifest(out_dir / "manifest.tsv", written)
     return EXIT_PARTIAL if len(written) < len(selected) else EXIT_OK
 
 

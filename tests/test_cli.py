@@ -357,6 +357,14 @@ class TestAugmentCommand:
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_spoof_only_manifest_feeds_features(self, corpus, tmp_path):
+        spoofs = corpus.parent / "spoofs.tsv"
+        spoofs.write_text(corpus.read_text().splitlines(keepends=True)[-1])
+        aug, feats = tmp_path / "aug", tmp_path / "feats"
+        assert main(["augment", str(spoofs), "--out", str(aug)]) == 0
+        assert main(["features", str(aug / "manifest.tsv"), "--out", str(feats)]) == 0
+        assert (feats / "manifest.tsv").read_bytes() == b""
+
     def test_save_features(self, corpus, tmp_path):
         out = tmp_path / "withfeat"
         main(
@@ -370,17 +378,21 @@ class TestAugmentCommand:
             assert bundle.n_frames == total
 
 
-@pytest.mark.parametrize("spelling", ["same", "dotted"])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "other-name"])
 @pytest.mark.parametrize("command", ["glottal", "features", "augment"])
 def test_out_over_input_manifest_exits_1_and_writes_nothing(corpus, command, spelling, caplog):
     root = corpus.parent
+    manifest = corpus
+    if spelling == "other-name":  # beside the corpus's own manifest.tsv, which --out would replace
+        manifest = root / "two.tsv"
+        manifest.write_text("".join(corpus.read_text().splitlines(keepends=True)[:2]))
     before = {p.name: p.read_bytes() for p in root.iterdir()}
-    out = root if spelling == "same" else root / ".." / root.name / "."
-    assert main([command, str(corpus), "--out", str(out)]) == 1
+    out = root / ".." / root.name / "." if spelling == "dotted" else root
+    assert main([command, str(manifest), "--out", str(out)]) == 1
     assert {p.name: p.read_bytes() for p in root.iterdir()} == before
     message = " ".join(rec.getMessage() for rec in caplog.records)
     assert message.startswith(command)
-    assert str(corpus) in message and str(out / "manifest.tsv") in message
+    assert str(manifest) in message and f"--out {out} " in message
 
 
 class TestHostileWavHeaders:

@@ -205,13 +205,15 @@ class TestNoRows:
         assert load_attack_groups(path) == {}
 
     @pytest.mark.parametrize("command", ["glottal", "features", "augment"])
-    def test_batch_has_nothing_to_do(self, tmp_path, text, caplog, command):
+    def test_batch_has_nothing_to_do(self, tmp_path, text, command):
         path = tmp_path / "m.tsv"
         path.write_text(text, encoding="utf-8")
-        out = tmp_path / "out"
-        assert cli.main([command, str(path), "--out", str(out)]) == 0
-        assert any("nothing to do" in rec.getMessage() for rec in caplog.records)
-        assert [p.name for p in out.iterdir()] == ["config.effective.json"]
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            assert cli.main([command, str(path), "--out", str(out), "--jobs", jobs]) == 0
+            assert sorted(p.name for p in out.iterdir()) == ["config.effective.json",
+                                                             "manifest.tsv"]
+            assert (out / "manifest.tsv").read_bytes() == b""
 
     def test_eer_needs_both_classes(self, tmp_path, text, caplog):
         path = tmp_path / "s.tsv"
