@@ -87,12 +87,10 @@ def load_run_config(path: str | None, rpm: dict | None = None) -> RunConfig:
         try:
             text = Path(path).read_text(encoding="utf-8-sig")
             doc = json.loads(text, object_pairs_hook=_unique_keys)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     flags = {name: value for name, value in (rpm or {}).items() if value is not None}
-    if flags and isinstance(doc, dict) and isinstance(doc.get("rpm", {}), dict):
-        doc = {**doc, "rpm": {**doc.get("rpm", {}), **flags}}
-    return build_run_config(doc)
+    return _from_doc(build_run_config(doc), {"rpm": flags})
 
 
 def _run_batch(

@@ -45,6 +45,33 @@ def two_formant_voice(fs=FS, seconds=1.0, f0=120.0):
     return AudioBuffer(samples=speech, sample_rate=fs), src
 
 
+def irregular_voice(seed, seconds=10.0, fs=FS) -> AudioBuffer:
+    """Vowel-like utterance with irregular rhythm: voiced bursts of lognormal
+    length (median 0.18 s, log-sigma 0.45), each under a sqrt-Hann envelope,
+    split by lognormal pauses (median 0.06 s, log-sigma 0.5).  F0 is drawn in
+    100-220 Hz, falls 10% over the utterance and moves +-10% per burst, through
+    two_formant_voice's pulse source; two formants are drawn in 550-850 and
+    1100-1700 Hz, plus lip radiation; noise sits 60 dB below the peak."""
+    rng = np.random.default_rng(seed)
+    n = int(seconds * fs)
+    f0_start = rng.uniform(100.0, 220.0)
+    f0 = np.zeros(n)  # 0 in pauses: no pulses there
+    env = np.zeros(n)
+    pos = int(fs * 0.06 * np.exp(0.5 * rng.standard_normal()))
+    while (burst := int(fs * 0.18 * np.exp(0.45 * rng.standard_normal()))) <= n - pos:
+        env[pos : pos + burst] = np.sqrt(np.hanning(burst))
+        f0[pos : pos + burst] = f0_start * (1.0 - 0.1 * pos / n) * rng.uniform(0.9, 1.1)
+        pos += burst + int(fs * 0.06 * np.exp(0.5 * rng.standard_normal()))
+    src = np.diff(np.floor(np.cumsum(f0) / fs), prepend=0.0)  # one pulse per period
+    src = dsp.leaky_integrate(dsp.leaky_integrate(src, 0.97), 0.97) * env
+    formants = [rng.uniform(550.0, 850.0), rng.uniform(1100.0, 1700.0)]
+    speech = dsp.allpole_filter(src, formant_model(formants, [80.0, 100.0], fs))
+    speech = speech - 0.99 * np.concatenate([[0.0], speech[:-1]])
+    speech = 0.5 * speech / np.max(np.abs(speech))
+    speech += 0.5e-3 * rng.standard_normal(n)
+    return AudioBuffer(samples=speech, sample_rate=fs)
+
+
 def sine(freq, fs=FS, seconds=1.0, amp=0.5) -> AudioBuffer:
     t = np.arange(int(seconds * fs)) / fs
     return AudioBuffer(samples=amp * np.sin(2.0 * np.pi * freq * t), sample_rate=fs)

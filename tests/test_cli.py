@@ -759,6 +759,7 @@ class TestConfig:
     "old-griffin-lim-keys", "old-window-keys", "old-n-fft-key",
     "old-top-level-seed", "old-audio", "seed-negative", "seed-2-to-the-64", "factor-lo-nan",
     "seed-on-glottal", "seed-on-features", "config-400-digit-int", "n-mels-past-dft-bins",
+    "config-deeply-nested", "config-bad-seed-under-flag", "config-bad-type-under-flag",
 ])
 def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case, caplog):
     out = tmp_path / "out"
@@ -800,6 +801,12 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case, caplog):
     huge.write_text('{"iaif": {"win_ms": %s}}' % ("9" * 400))  # beyond float range
     many_mels = tmp_path / "many_mels.json"
     many_mels.write_text('{"features": {"n_mels": 514}}')  # a 1024-point frame has 513 bins
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)  # past the parser's recursion limit
+    bad_seed = tmp_path / "bad_seed.json"
+    bad_seed.write_text('{"rpm": {"seed": -1}}')
+    bad_type = tmp_path / "bad_type.json"
+    bad_type.write_text('{"rpm": {"factor_lo": "x"}}')
     augment = ["augment", str(corpus), "--out", str(out)]
     argv = {
         "manifest-not-utf8": ["glottal", str(bad), "--out", str(out)],
@@ -833,6 +840,10 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case, caplog):
         "config-400-digit-int": ["glottal", str(corpus), "--out", str(out), "--config", str(huge)],
         "n-mels-past-dft-bins":
             ["features", str(corpus), "--out", str(out), "--config", str(many_mels)],
+        "config-deeply-nested": ["features", str(corpus), "--out", str(out), "--config", str(deep)],
+        # The file is judged as written before a flag is laid over it.
+        "config-bad-seed-under-flag": augment + ["--config", str(bad_seed), "--seed", "7"],
+        "config-bad-type-under-flag": augment + ["--config", str(bad_type), "--factor-lo", "0.9"],
     }[case]
     assert main(argv) == 1
     assert not out.exists()
@@ -844,6 +855,8 @@ def test_bad_input_exits_1_and_writes_nothing(corpus, tmp_path, case, caplog):
         "factor-lo-nan": "rpm: factor_lo must be finite, got nan",
         "old-audio": "unknown keys in config root: ['audio']",
         "n-mels-past-dft-bins": "features: n_mels must be at most win_length // 2 + 1, got 514",
+        "config-bad-seed-under-flag": "rpm: seed must be an integer in [0, 2**64), got -1",
+        "config-bad-type-under-flag": "rpm: factor_lo must be float, got 'x'",
     }.get(case)
     if message is not None:
         assert message in [rec.getMessage() for rec in caplog.records]
