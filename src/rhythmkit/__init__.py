@@ -20,7 +20,7 @@ from .evaluation import (
     read_scores,
 )
 from .features import FeatureBundle, FeatureConfig, extract_features
-from .glottal import GlottalFlowResult, IaifConfig, extract_glottal_flow, iaif_frame
+from .glottal import GlottalFlowResult, IaifConfig, extract_glottal_flow
 from .rpm import (
     RpmConfig,
     Segment,
@@ -65,7 +65,6 @@ __all__ = [
     "extract_features",
     "extract_glottal_flow",
     "griffin_lim",
-    "iaif_frame",
     "mel_to_linear",
     "read_features",
     "read_manifest",

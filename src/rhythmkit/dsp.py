@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cache
 from types import NoneType, UnionType
 from typing import Any, get_args, get_type_hints
 
@@ -33,14 +32,13 @@ OLA_ENVELOPE_FLOOR = 1e-8
 OUTPUT_PEAK = 0.95
 
 _FIELD_KINDS: dict[type, type] = {int: numbers.Integral, float: numbers.Real}  # numpy scalars too
-_class_hints = cache(get_type_hints)  # evaluating string annotations takes ~0.1 ms a class
 
 
 def check_field_types(config: Any) -> None:
     """Raise ValueError naming the first config field whose value does not fit its hint:
     int takes integers, float reals, each finite as a float; no bool; only ``X | None`` None.
     A number is stored back as a Python int or float (numpy scalars and ints in float fields)."""
-    for name, hint in _class_hints(type(config)).items():
+    for name, hint in get_type_hints(type(config)).items():
         value = getattr(config, name)
         kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
         admitted = tuple(_FIELD_KINDS.get(kind, kind) for kind in kinds)
@@ -124,14 +122,6 @@ class LpcRows:
         )
 
 
-def num_frames(length: int, spec: FrameSpec) -> int:
-    if length < spec.win_length:
-        raise TooShortError(
-            f"signal of {length} samples is shorter than win_length={spec.win_length}"
-        )
-    return 1 + (length - spec.win_length) // spec.hop_length
-
-
 def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
     """Raw (unweighted) frames, shape (n_frames, win_length): a read-only
     strided view of x, not a copy.  Callers weight them by spec.window_array().
@@ -139,7 +129,8 @@ def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
     Trailing samples that do not fill a whole window are dropped.
     """
     x = np.asarray(x, dtype=np.float64)
-    num_frames(len(x), spec)  # raises TooShortError below one window
+    if len(x) < spec.win_length:
+        raise TooShortError(f"signal of {len(x)} samples is shorter than win_length={spec.win_length}")
     return sliding_window_view(x, spec.win_length)[:: spec.hop_length]
 
 

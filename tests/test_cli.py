@@ -871,6 +871,18 @@ def test_speedperturb_is_no_command(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["in.wav"]
 
 
+def test_package_all_is_what_it_binds():
+    # A name dropped from only the imports breaks star-import; from only __all__, it leaks.
+    import rhythmkit
+
+    bound = [name for name, value in vars(rhythmkit).items()
+             if not name.startswith("_") and not isinstance(value, type(rhythmkit))]
+    assert sorted(rhythmkit.__all__) == sorted(bound)
+    ns: dict = {}
+    exec("from rhythmkit import *", ns)
+    assert set(rhythmkit.__all__) <= ns.keys()
+
+
 def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
