@@ -95,10 +95,6 @@ class FeatureBundle:
     def n_frames(self) -> int:
         return self.mel.shape[0]
 
-    @property
-    def n_mels(self) -> int:
-        return self.mel.shape[1]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureBundle):
             return NotImplemented
@@ -190,13 +186,6 @@ def _check_byte_rate(path: str | Path, sample_rate: int, bits: int) -> None:
                                      f"at {bits} bits overflows 32 bits")
 
 
-def check_wav_length(path: str | Path, n_samples: int, encoding: str) -> None:
-    """Reject a sample count whose RIFF size (36 header bytes, 48 with a fact chunk) passes 32 bits."""
-    _, bits, dtype, _ = WAV_ENCODINGS[encoding]
-    if 36 + 12 * (np.dtype(dtype).kind == "f") + n_samples * (bits // 8) > 0xFFFFFFFF:
-        raise UnsupportedFormatError(f"{path}: too many samples for a {encoding} WAV's 32-bit RIFF size")
-
-
 def read_wav_encoded(path: str | Path) -> tuple[AudioBuffer, str]:
     """Decode a mono WAV file and name its encoding, a key of WAV_ENCODINGS.
 
@@ -242,9 +231,11 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
         raise ValueError(f"encoding must be one of {sorted(WAV_ENCODINGS)}, got {encoding!r}")
     audio_format, bits, dtype, full_scale = WAV_ENCODINGS[encoding]
     _check_byte_rate(path, buf.sample_rate, bits)
-    check_wav_length(path, len(buf), encoding)
+    is_float = np.dtype(dtype).kind == "f"  # non-PCM formats carry a 12-byte fact chunk
+    if 36 + 12 * is_float + len(buf) * (bits // 8) > 0xFFFFFFFF:  # RIFF size, 32 bits
+        raise UnsupportedFormatError(f"{path}: too many samples for a {encoding} WAV's 32-bit RIFF size")
     values = buf.samples
-    if np.dtype(dtype).kind == "i":
+    if not is_float:
         info = np.iinfo(dtype)
         values = np.clip(np.rint(np.clip(values, -1.0, 1.0) * full_scale), info.min, info.max)
     payload = values.astype(dtype).tobytes()
@@ -253,7 +244,7 @@ def write_wav(path: str | Path, buf: AudioBuffer, encoding: str = "pcm16") -> No
     fmt = WAV_FMT.pack(audio_format, 1, buf.sample_rate, byte_rate, block_align, bits)
     body = b"WAVE"
     body += b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    if np.dtype(dtype).kind == "f":  # non-PCM formats carry a sample count
+    if is_float:
         body += b"fact" + struct.pack("<II", 4, len(buf))
     body += b"data" + struct.pack("<I", len(payload)) + payload
     write_file(path, b"RIFF" + struct.pack("<I", len(body)) + body)

@@ -305,8 +305,7 @@ def resampled_length(length: int, factor: float) -> int:
     """Output length under a resampling factor: max(1, round(L*r)), half away from zero."""
     if not 0.0 < factor < np.inf:
         raise ValueError(f"resampling factor must be positive and finite, got {factor}")
-    scaled = length * float(factor)  # inf only for a whole-number factor far above 2**53
-    return length * int(factor) if scaled == np.inf else max(1, int(np.floor(scaled + 0.5)))
+    return max(1, int(np.floor(length * float(factor) + 0.5)))
 
 
 def linear_resample(seq: np.ndarray, factor: float) -> np.ndarray:

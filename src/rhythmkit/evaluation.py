@@ -9,7 +9,7 @@ linearly interpolated crossing of those two step functions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ class EerBreakdown:
     total: EerResult
     tts: EerResult | None
     vc: EerResult | None
-    per_attack: dict[str, EerResult] = field(default_factory=dict)
+    per_attack: dict[str, EerResult]
 
 
 def _score_set(columns: list[list[str]]) -> ScoreSet:

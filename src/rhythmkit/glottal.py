@@ -139,8 +139,17 @@ def _integrated_frames(
 def _iaif(
     x: np.ndarray, integral: np.ndarray, cfg: IaifConfig, spec: dsp.FrameSpec, tract_order: int
 ) -> tuple[dsp.LpcRows, dsp.LpcRows, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
-    """IAIF (stages as in iaif_frame) on every frame of x, one stage at a time;
-    integral is dsp.leaky_integrate(x, cfg.lip_d).
+    """IAIF on every frame of x, one stage at a time; integral is
+    dsp.leaky_integrate(x, cfg.lip_d).
+
+    Stage sequence (models estimated on the windowed frame, filtering applied
+    to the raw frame, or to the raw frame integrated once, since inverse
+    filtering and integration commute):
+      1. order-1 LPC on the input, inverse filter: coarse tilt removal
+      2. order-p LPC on (1), inverse filter integrated input: first source estimate
+      3. order-g LPC on (2), inverse filter integrated input: tilt-free signal
+      4. order-p LPC on (3) = final vocal tract; inverse filter integrated
+         input: glottal flow
 
     Each stage fills one (frames, order+1) autocorrelation array chunk by
     chunk, then solves Levinson once for all frames.  Every chunk's frames go
@@ -191,20 +200,8 @@ def _iaif(
 
 
 def iaif_frame(frame: np.ndarray, cfg: IaifConfig, sample_rate: int) -> GlottalFrameResult:
-    """Estimate one frame's glottal source and the models that produced it.
-
-    Stage sequence (models estimated on the windowed frame, filtering applied
-    to the raw frame, or to the raw frame integrated once, since inverse
-    filtering and integration commute):
-      1. order-1 LPC on the input, inverse filter: coarse tilt removal
-      2. order-p LPC on (1), inverse filter integrated input: first source estimate
-      3. order-g LPC on (2), inverse filter integrated input: tilt-free signal
-      4. order-p LPC on (3) = final vocal tract; inverse filter integrated
-         input: glottal flow
-
-    A one-frame call into the utterance's IAIF, with the frame's own integral.
-    Raises UnstableFrameError when any LPC stage goes non-minimum-phase.
-    """
+    """One frame's glottal source and models: _iaif on the frame, with its own integral.
+    Raises UnstableFrameError when any LPC stage goes non-minimum-phase."""
     x = np.asarray(frame, dtype=np.float64)
     spec = cfg.frame_spec(sample_rate)
     if x.shape != (spec.win_length,):

@@ -1,7 +1,9 @@
 """Desk-scale copy-synthesis: mel inversion plus iterative phase estimation.
 
 Stands in for a neural vocoder so the augmentation loop closes locally; the
-F0 track is carried through untouched for external vocoders that want it.
+F0 track is kept for external vocoders that want it. Under RPM, apply_plan
+resamples it with the mel and zeroes values below f0_floor, so a voicing edge
+can carry a pitch no input frame had (ROADMAP item 15).
 """
 
 from __future__ import annotations

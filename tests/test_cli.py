@@ -23,7 +23,7 @@ from rhythmkit.audio_io import ManifestEntry
 from rhythmkit.cli import RunConfig, build_run_config, main, ConfigError
 from rhythmkit.features import FeatureBundle, FeatureConfig
 from rhythmkit.glottal import IaifConfig
-from rhythmkit.rpm import RpmConfig, rhythm_perturb
+from rhythmkit.rpm import RpmConfig, Segment, SegmentPlan, apply_plan, rhythm_perturb
 from rhythmkit.synthesis import GriffinLimConfig
 from test_audio_io import HOSTILE_WAVS, _raw_wav
 from test_evaluation import eer_oracle
@@ -283,7 +283,7 @@ class TestFeaturesCommand:
         files = sorted(out.glob("*.rfb"))
         assert len(files) == 4
         bundle = audio_io.read_features(files[0])
-        assert bundle.n_frames > 0 and bundle.n_mels == 80
+        assert bundle.n_frames > 0 and bundle.mel.shape[1] == 80
 
     def test_bom_manifest_writes_plain_ids(self, corpus, tmp_path):
         bom = corpus.parent / "bom.tsv"
@@ -366,16 +366,23 @@ class TestAugmentCommand:
         assert (feats / "manifest.tsv").read_bytes() == b""
 
     def test_save_features(self, corpus, tmp_path):
-        out = tmp_path / "withfeat"
-        main(
-            ["augment", str(corpus), "--out", str(out), "--save-features",
-             "--config", str(_fast_config(tmp_path))]
-        )
-        for i in range(3):
-            bundle = audio_io.read_features(out / f"utt{i}.rfb")
-            plan = json.loads((out / f"utt{i}.plan.json").read_text())
-            total = sum(max(1, round(s["len"] * s["factor"])) for s in plan["segments"])
-            assert bundle.n_frames == total
+        # An RPM .rfb is its .plan.json applied to the features command's .rfb, bit for bit,
+        # and a COPY .rfb is the features command's .rfb.
+        feat, rpm, copy = tmp_path / "feat", tmp_path / "rpm", tmp_path / "copy"
+        augment = ["augment", str(corpus), "--save-features",
+                   "--config", str(_fast_config(tmp_path))]
+        assert main(["features", str(corpus), "--out", str(feat)]) == 0
+        assert main([*augment, "--out", str(rpm)]) == 0
+        assert main([*augment, "--out", str(copy), "--rpm", "off"]) == 0
+        for entry in audio_io.read_manifest(corpus):
+            if entry.key != "bonafide":
+                continue
+            bundle = audio_io.read_features(feat / f"{entry.utt_id}.rfb")
+            doc = json.loads((rpm / f"{entry.utt_id}.plan.json").read_text())
+            plan = SegmentPlan(tuple(Segment(s["len"], s["factor"]) for s in doc["segments"]))
+            expect = apply_plan(bundle, plan, f0_floor=FeatureConfig().f0_min)
+            assert audio_io.read_features(rpm / f"{entry.utt_id}.rfb") == expect
+            assert audio_io.read_features(copy / f"{entry.utt_id}.rfb") == bundle
 
 
 @pytest.mark.parametrize("spelling", ["same", "dotted", "other-name"])

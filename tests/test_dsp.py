@@ -341,10 +341,11 @@ class TestLinearResample:
         assert dsp.resampled_length(20, 0.5) == 10
         assert dsp.resampled_length(5, 1.1) == 6  # 5.5 -> 6
 
-    def test_length_past_float_range_is_exact(self):
-        # L*r overflows to inf, but a factor that large is a whole number.
-        assert dsp.resampled_length(3, 1e308) == 3 * int(1e308)
-        assert dsp.resampled_length(2, np.finfo(float).max) == 2 * int(np.finfo(float).max)
+    def test_length_past_float_range_overflows(self):
+        # L*r is inf: no buffer that long could be allocated, so no length is returned.
+        for length, factor in ((3, 1e308), (2, np.finfo(float).max)):
+            with pytest.raises(OverflowError):
+                dsp.resampled_length(length, factor)
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, np.inf, np.nan])
     def test_length_rule_rejects_bad_factor(self, factor):
