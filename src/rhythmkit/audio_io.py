@@ -17,14 +17,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DuplicateIdError,
-    EmptyAudioError,
-    ParseError,
-    UnsupportedFormatError,
-    VersionMismatchError,
-)
+from .errors import EmptyAudioError, ParseError, UnsupportedFormatError
 
 # Sample encodings: name -> (fmt chunk format code, bits per sample, stored
 # dtype, full scale), where full scale is the stored value of a 1.0 sample.
@@ -297,7 +290,7 @@ def read_tsv(
                 f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(row)}"
             )
         if row[0] in seen:
-            raise DuplicateIdError(f"{path}:{lineno}: duplicate id {row[0]!r}")
+            raise ParseError(f"{path}:{lineno}: duplicate id {row[0]!r}")
         seen.add(row[0])
         try:
             build([[field] for field in row])
@@ -340,13 +333,13 @@ def read_features(path: str | Path) -> FeatureBundle:
         raise FileNotFoundError(f"no such feature file: {path}")
     raw = path.read_bytes()
     if len(raw) < 4 or raw[:4] != FEATURE_MAGIC:
-        raise BadMagicError(f"{path}: missing {FEATURE_MAGIC!r} magic")
+        raise ParseError(f"{path}: missing {FEATURE_MAGIC!r} magic")
     header_size = RFB_HEADER.size
     if len(raw) < header_size:
         raise ParseError(f"{path}: truncated header")
     _, version, n_frames, n_mels, sample_rate, hop_length, win_length = RFB_HEADER.unpack_from(raw)
     if version != FEATURE_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {FEATURE_VERSION}")
+        raise ParseError(f"{path}: version {version}, expected {FEATURE_VERSION}")
     mel_bytes = 8 * n_frames * n_mels
     f0_bytes = 8 * n_frames
     if len(raw) != header_size + mel_bytes + f0_bytes:

@@ -18,7 +18,7 @@ from typing import Any, get_args, get_type_hints
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import LagTooLargeError, ShapeMismatchError, TooShortError, UnstableFrameError
+from .errors import ShapeMismatchError, TooShortError, UnstableFrameError
 
 # Multiplicative white-noise floor on r[0]; keeps |k| < 1 on
 # near-deterministic frames.
@@ -186,7 +186,7 @@ def autocorrelation(frames: np.ndarray, max_lag: int, min_lag: int = 1) -> np.nd
     x = np.asarray(frames, dtype=np.float64)
     n = x.shape[-1]
     if max_lag >= n:
-        raise LagTooLargeError(f"max_lag={max_lag} must be below frame length {n}")
+        raise ShapeMismatchError(f"max_lag={max_lag} must be below frame length {n}")
     r = np.empty(x.shape[:-1] + (max_lag + 1,))
     r[..., 1:min_lag] = np.nan
     for k in (0, *range(min_lag, max_lag + 1)):
@@ -204,7 +204,7 @@ def levinson_rows(r: np.ndarray, order: int) -> LpcRows:
     """
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 2 or r.shape[1] < order + 1:
-        raise LagTooLargeError(f"need {order + 1} autocorrelation lags per row, got shape {r.shape}")
+        raise ShapeMismatchError(f"need {order + 1} autocorrelation lags per row, got shape {r.shape}")
     err = r[:, 0] * (1.0 + AUTOCORR_REG)
     silent = ~(err > 0.0)
     # Lag-major (lags, rows) stacks make each step's dot product one einsum over

@@ -17,24 +17,8 @@ class ParseError(RhythmkitError):
     """Malformed text or binary input; message carries file/line context."""
 
 
-class DuplicateIdError(ParseError):
-    """The same utterance id appeared twice in one manifest or score file."""
-
-
-class BadMagicError(ParseError):
-    """Feature file does not start with the expected magic bytes."""
-
-
-class VersionMismatchError(ParseError):
-    """Feature file has a version this reader does not understand."""
-
-
 class TooShortError(RhythmkitError):
     """Signal shorter than one analysis window."""
-
-
-class LagTooLargeError(RhythmkitError):
-    """Requested autocorrelation lag exceeds the frame length."""
 
 
 class UnstableFrameError(RhythmkitError):
@@ -43,10 +27,6 @@ class UnstableFrameError(RhythmkitError):
 
 class TooManyMelsError(RhythmkitError):
     """Adjacent mel filter centers collapse onto the same DFT bin."""
-
-
-class PlanMismatchError(RhythmkitError):
-    """A segment plan does not tile the feature timeline it is applied to."""
 
 
 class ShapeMismatchError(RhythmkitError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import audio_io, dsp
 from .audio_io import AudioBuffer
-from .errors import PlanMismatchError
+from .errors import ShapeMismatchError
 from .features import FeatureBundle, FeatureConfig
 
 _MASK64 = (1 << 64) - 1
@@ -154,7 +154,7 @@ def apply_plan(
     ``f0_floor=cfg.f0_min``. Framing metadata is copied unchanged.
     """
     if not plan.tiles(bundle.n_frames):
-        raise PlanMismatchError(
+        raise ShapeMismatchError(
             f"plan covers {plan.total_frames} frames, bundle has {bundle.n_frames}"
         )
     frames = np.column_stack([bundle.mel, bundle.f0])

@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from rhythmkit import evaluation
-from rhythmkit.errors import (
-    DuplicateIdError,
-    InsufficientClassesError,
-    ParseError,
-    UnknownAttackError,
-)
+from rhythmkit.errors import InsufficientClassesError, ParseError, UnknownAttackError
 from rhythmkit.evaluation import (
     DEFAULT_ATTACK_GROUPS,
     ScoreSet,
@@ -108,7 +103,7 @@ class TestReadScores:
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "s.tsv"
         path.write_text("u1\tbonafide\t-\t1\nu1\tspoof\tA07\t0\n")
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(ParseError, match=":2: duplicate id 'u1'"):
             read_scores(path)
 
     def test_spoof_only_loads_but_eer_fails(self, tmp_path):
@@ -386,7 +381,7 @@ class TestBreakdown:
     def test_mapping_file_duplicate_attack(self, tmp_path):
         path = tmp_path / "map.tsv"
         path.write_text("B99\tTTS\nB99\tVC\n")
-        with pytest.raises(DuplicateIdError, match=":2"):
+        with pytest.raises(ParseError, match=":2: duplicate id 'B99'"):
             load_attack_groups(path)
 
 

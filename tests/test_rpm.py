@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import FS, sine
 from rhythmkit import dsp
-from rhythmkit.errors import PlanMismatchError
+from rhythmkit.errors import ShapeMismatchError
 from rhythmkit.features import FeatureBundle
 from rhythmkit.rpm import (
     RpmConfig,
@@ -195,6 +195,22 @@ class TestApplyPlan:
         assert np.all((out.f0 == 0.0) | (out.f0 >= 50.0))
         assert np.any(out.f0 == 0.0) and np.any(out.f0 >= 50.0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 15: F0 is interpolated through the unvoiced 0.0 sentinel, so "
+        "frames at a voicing edge come out voiced below the lowest voiced input pitch",
+    )
+    def test_voiced_f0_stays_within_its_voiced_input_range(self):
+        f0 = np.array([0.0] * 4 + [150.0, 160.0, 170.0, 180.0] + [0.0] * 4 + [200.0] * 6 + [0.0] * 2)
+        bundle = FeatureBundle(
+            mel=np.zeros((20, 3)), f0=f0, sample_rate=16000.0, hop_length=256, win_length=1024
+        )
+        for factor in (0.55, 1.37):
+            out = apply_plan(bundle, SegmentPlan(segments=(Segment(20, factor),)), f0_floor=50.0)
+            voiced = out.f0[out.f0 > 0.0]
+            assert np.all((voiced >= 150.0) & (voiced <= 200.0)), f"factor {factor}: {voiced}"
+
     def test_length_law_exact(self):
         cfg = RpmConfig()
         pick = SplitMix64(31337)
@@ -242,7 +258,7 @@ class TestApplyPlan:
     def test_plan_mismatch(self):
         bundle = make_bundle(30)
         plan = SegmentPlan(segments=(Segment(20, 1.0),))
-        with pytest.raises(PlanMismatchError, match="plan covers 20 frames, bundle has 30"):
+        with pytest.raises(ShapeMismatchError, match="plan covers 20 frames, bundle has 30"):
             apply_plan(bundle, plan)
 
     def test_segment_is_length_and_factor(self):
@@ -255,7 +271,7 @@ class TestApplyPlan:
         with pytest.raises(ValueError, match="at least one segment"):
             SegmentPlan(())
         empty = make_bundle(0)
-        with pytest.raises(PlanMismatchError, match="plan covers 1 frames, bundle has 0"):
+        with pytest.raises(ShapeMismatchError, match="plan covers 1 frames, bundle has 0"):
             apply_plan(empty, SegmentPlan((Segment(1, 1.0),)))
 
     def test_metadata_copied(self):
