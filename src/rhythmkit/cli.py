@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from . import audio_io, evaluation
 from .audio_io import AudioBuffer, ManifestEntry
-from .errors import RhythmkitError
+from .errors import ParseError, RhythmkitError
 from .features import FeatureConfig, extract_features
 from .glottal import IaifConfig, extract_glottal_flow
 from .rpm import RpmConfig, write_plan
@@ -28,10 +28,6 @@ log = logging.getLogger("rhythmkit")
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
-
-
-class ConfigError(RhythmkitError):
-    """Bad run-config document (unknown key, wrong type, invalid value)."""
 
 
 @dataclass(frozen=True)
@@ -51,10 +47,10 @@ def _from_doc(default: Any, doc: Any, where: str = "root") -> Any:
     is parsed as a section of its own; the section's dataclass checks its
     values' types and ranges, and its errors are prefixed with its name."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {where} must be an object, got {type(doc).__name__}")
+        raise ParseError(f"config {where} must be an object, got {type(doc).__name__}")
     unknown = set(doc) - {f.name for f in fields(default)}
     if unknown:
-        raise ConfigError(f"unknown keys in config {where}: {sorted(unknown)}")
+        raise ParseError(f"unknown keys in config {where}: {sorted(unknown)}")
     changes = {}
     for name, value in doc.items():
         current = getattr(default, name)
@@ -62,7 +58,7 @@ def _from_doc(default: Any, doc: Any, where: str = "root") -> Any:
     try:
         return replace(default, **changes)
     except ValueError as exc:  # the section's own type and range checks
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def build_run_config(doc: Any) -> RunConfig:
@@ -75,7 +71,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     doc: dict = {}
     for key, value in pairs:
         if key in doc:
-            raise ConfigError(f"duplicate key {key!r} in config")
+            raise ParseError(f"duplicate key {key!r} in config")
         doc[key] = value
     return doc
 
@@ -88,7 +84,7 @@ def load_run_config(path: str | None, rpm: dict | None = None) -> RunConfig:
             text = Path(path).read_text(encoding="utf-8-sig")
             doc = json.loads(text, object_pairs_hook=_unique_keys)
         except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raise ParseError(f"cannot read config {path}: {exc}") from exc
     flags = {name: value for name, value in (rpm or {}).items() if value is not None}
     return _from_doc(build_run_config(doc), {"rpm": flags})
 

@@ -14,7 +14,7 @@ class EmptyAudioError(RhythmkitError):
 
 
 class ParseError(RhythmkitError):
-    """Malformed text or binary input; message carries file/line context."""
+    """Malformed score, manifest, feature-file or run-config document; message carries context."""
 
 
 class TooShortError(RhythmkitError):
