@@ -37,6 +37,7 @@ from .synthesis import (
     copy_synthesize,
     griffin_lim,
     mel_to_linear,
+    render,
 )
 
 __version__ = "0.1.0"
@@ -70,6 +71,7 @@ __all__ = [
     "read_manifest",
     "read_scores",
     "read_wav",
+    "render",
     "rhythm_perturb",
     "sample_segment_plan",
     "speed_perturb",

@@ -81,6 +81,8 @@ class FeatureBundle:
             raise ValueError(f"mel must be 2-D, got shape {mel.shape}")
         if f0.shape != (mel.shape[0],):
             raise ValueError(f"mel has {mel.shape[0]} frames but f0 has shape {f0.shape}")
+        if not (np.all(np.isfinite(mel)) and np.all(np.isfinite(f0))):
+            raise ValueError("mel and f0 must be finite (no NaN/Inf)")
         object.__setattr__(self, "mel", mel)
         object.__setattr__(self, "f0", f0)
 
@@ -348,10 +350,8 @@ def read_features(path: str | Path) -> FeatureBundle:
         )
     mel = np.frombuffer(raw, dtype="<f8", count=n_frames * n_mels, offset=header_size)
     f0 = np.frombuffer(raw, dtype="<f8", count=n_frames, offset=header_size + mel_bytes)
-    return FeatureBundle(
-        mel=mel.reshape(n_frames, n_mels).copy(),
-        f0=f0.copy(),
-        sample_rate=sample_rate,
-        hop_length=hop_length,
-        win_length=win_length,
-    )
+    try:
+        return FeatureBundle(mel=mel.reshape(n_frames, n_mels).copy(), f0=f0.copy(),
+                             sample_rate=sample_rate, hop_length=hop_length, win_length=win_length)
+    except ValueError as exc:  # a NaN or Inf mel or F0 value
+        raise ParseError(f"{path}: {exc}") from exc

@@ -134,6 +134,17 @@ def griffin_lim(
     return GriffinLimResult(audio=audio, objective=objective)
 
 
+def render(bundle: FeatureBundle, feat_cfg: FeatureConfig, gl_cfg: GriffinLimConfig) -> GriffinLimResult:
+    """Invert a bundle's mel and run Griffin-Lim at the bundle's own framing and rate.
+
+    feat_cfg gives only the filterbank: griffin_lim refuses a bundle whose
+    win_length differs from it, and mel_to_linear one whose n_mels does.
+    """
+    fb = mel_filterbank(feat_cfg, bundle.sample_rate)
+    spec = dsp.FrameSpec(bundle.win_length, bundle.hop_length)
+    return griffin_lim(mel_to_linear(bundle.mel, fb), spec, gl_cfg, bundle.sample_rate)
+
+
 def copy_synthesize(
     audio: AudioBuffer,
     feat_cfg: FeatureConfig,
@@ -141,8 +152,8 @@ def copy_synthesize(
     gl_cfg: GriffinLimConfig,
     utt_id: str,
 ) -> CopySynthesisResult:
-    """Re-synthesize an utterance from its own features, optionally passing the
-    feature timeline through the rhythm perturbation module first.
+    """Re-synthesize an utterance from its own features: extract, optionally
+    pass the feature timeline through the rhythm perturbation module, render.
 
     Returns the audio, the segment plan (None without RPM) and the features
     actually rendered, so callers can serialize all three.
@@ -151,7 +162,4 @@ def copy_synthesize(
     plan = None
     if rpm_cfg is not None:
         bundle, plan = rhythm_perturb(bundle, rpm_cfg, utt_id, f0_floor=feat_cfg.f0_min)
-    fb = mel_filterbank(feat_cfg, audio.sample_rate)
-    magnitudes = mel_to_linear(bundle.mel, fb)
-    result = griffin_lim(magnitudes, feat_cfg.frame, gl_cfg, audio.sample_rate)
-    return CopySynthesisResult(audio=result.audio, plan=plan, features=bundle)
+    return CopySynthesisResult(audio=render(bundle, feat_cfg, gl_cfg).audio, plan=plan, features=bundle)

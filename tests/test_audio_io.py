@@ -320,7 +320,10 @@ def _bundle(mel, f0):
      ValueError, "encoding must be one of ['float32', 'pcm16'], got 'pcm24'"),
     (lambda tmp: audio_io.read_features(tmp / "missing.rfb"), FileNotFoundError,
      "no such feature file"),
-], ids=["samples-2-d", "mel-1-d", "f0-frame-count", "unknown-encoding", "missing-feature-file"])
+    (lambda tmp: _bundle(np.zeros((2, 3)), np.array([0.0, np.inf])), ValueError,
+     "mel and f0 must be finite (no NaN/Inf)"),
+], ids=["samples-2-d", "mel-1-d", "f0-frame-count", "unknown-encoding", "missing-feature-file",
+        "f0-inf"])
 def test_bad_input_rejected(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call(tmp_path)
@@ -590,6 +593,16 @@ class TestFeatureFile:
         audio_io.write_features(path, _random_bundle(rng))
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ParseError):
+            audio_io.read_features(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        path = tmp_path / "x.rfb"
+        header = audio_io.RFB_HEADER.pack(audio_io.FEATURE_MAGIC, audio_io.FEATURE_VERSION,
+                                          2, 3, 16000.0, 256, 1024)
+        mel = np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]], dtype="<f8")
+        f0 = np.array([np.inf, 0.0], dtype="<f8")
+        path.write_bytes(header + mel.tobytes() + f0.tobytes())
+        with pytest.raises(ParseError, match=re.escape(f"{path}: mel and f0 must be finite")):
             audio_io.read_features(path)
 
     def test_version_mismatch(self, tmp_path):

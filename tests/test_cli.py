@@ -25,7 +25,7 @@ from rhythmkit.errors import ParseError
 from rhythmkit.features import FeatureBundle, FeatureConfig
 from rhythmkit.glottal import IaifConfig
 from rhythmkit.rpm import RpmConfig, Segment, SegmentPlan, apply_plan, rhythm_perturb
-from rhythmkit.synthesis import GriffinLimConfig
+from rhythmkit.synthesis import GriffinLimConfig, render
 from test_audio_io import HOSTILE_WAVS, _raw_wav
 from test_evaluation import eer_oracle
 
@@ -368,10 +368,11 @@ class TestAugmentCommand:
 
     def test_save_features(self, corpus, tmp_path):
         # An RPM .rfb is its .plan.json applied to the features command's .rfb, bit for bit,
-        # and a COPY .rfb is the features command's .rfb.
+        # and a COPY .rfb is the features command's .rfb. Each .rfb renders back to its WAV.
         feat, rpm, copy = tmp_path / "feat", tmp_path / "rpm", tmp_path / "copy"
         augment = ["augment", str(corpus), "--save-features",
                    "--config", str(_fast_config(tmp_path))]
+        cfg = cli.load_run_config(str(_fast_config(tmp_path)))
         assert main(["features", str(corpus), "--out", str(feat)]) == 0
         assert main([*augment, "--out", str(rpm)]) == 0
         assert main([*augment, "--out", str(copy), "--rpm", "off"]) == 0
@@ -384,6 +385,12 @@ class TestAugmentCommand:
             expect = apply_plan(bundle, plan, f0_floor=FeatureConfig().f0_min)
             assert audio_io.read_features(rpm / f"{entry.utt_id}.rfb") == expect
             assert audio_io.read_features(copy / f"{entry.utt_id}.rfb") == bundle
+            for out in (rpm, copy):
+                rendered = render(audio_io.read_features(out / f"{entry.utt_id}.rfb"),
+                                  cfg.features, cfg.griffin_lim)
+                audio_io.write_wav(tmp_path / "rendered.wav", rendered.audio)
+                synth = (out / f"{entry.utt_id}.synth.wav").read_bytes()
+                assert (tmp_path / "rendered.wav").read_bytes() == synth
 
 
 @pytest.mark.parametrize("spelling", ["same", "dotted", "other-name"])

@@ -13,6 +13,7 @@ from rhythmkit.synthesis import (
     copy_synthesize,
     griffin_lim,
     mel_to_linear,
+    render,
 )
 
 
@@ -153,6 +154,27 @@ class TestGriffinLim:
             griffin_lim(np.full((2, 513), -1.0), cfg.frame, GriffinLimConfig(), FS)
         with pytest.raises(ValueError):
             GriffinLimConfig(n_iters=0)
+
+
+class TestRender:
+    # The bundle states its framing, the config only its filterbank. 80 bands
+    # collide on a 512-point grid, so every config here has 40.
+    SHORT = FeatureConfig(win_length=512, hop_length=128, n_mels=40)
+
+    @pytest.mark.parametrize("extract_cfg, render_cfg", [
+        (SHORT, SHORT),
+        (FeatureConfig(hop_length=128, n_mels=40), FeatureConfig(n_mels=40)),
+    ], ids=["512-128", "bundle-hop-over-config-hop"])
+    def test_renders_at_the_bundles_framing(self, extract_cfg, render_cfg):
+        bundle = extract_features(sine(330.0, seconds=0.3), extract_cfg)
+        res = render(bundle, render_cfg, GriffinLimConfig(n_iters=1))
+        assert len(res.audio) == (bundle.n_frames - 1) * 128 + extract_cfg.win_length
+        assert res.audio.sample_rate == FS
+
+    def test_rejects_a_bundle_at_another_window(self):
+        bundle = extract_features(sine(330.0, seconds=0.3), self.SHORT)
+        with pytest.raises(ShapeMismatchError, match="got 513 bins for win_length 512"):
+            render(bundle, FeatureConfig(n_mels=40), GriffinLimConfig(n_iters=1))
 
 
 class TestCopySynthesize:
