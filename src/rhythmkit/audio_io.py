@@ -17,6 +17,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
+from .dsp import FrameSpec
 from .errors import EmptyAudioError, ParseError, UnsupportedFormatError
 
 # Sample encodings: name -> (fmt chunk format code, bits per sample, stored
@@ -37,6 +38,17 @@ BONAFIDE_ATTACK = "-"
 T = TypeVar("T")
 
 
+def _whole_rate(rate: object) -> int:
+    """rate as an int; ValueError unless it is a whole, positive, finite number, not a bool."""
+    try:  # NaN and +-inf are not finite; an int past float range raises OverflowError
+        whole = isinstance(rate, numbers.Real) and math.isfinite(rate) and int(rate) == rate
+    except OverflowError:
+        whole = False
+    if isinstance(rate, bool) or not whole or rate <= 0:
+        raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+    return int(rate)
+
+
 @dataclass(frozen=True, eq=False)  # a generated == would compare arrays
 class AudioBuffer:
     """Mono signal: float64 samples in [-1, 1] plus sample rate in Hz."""
@@ -51,14 +63,7 @@ class AudioBuffer:
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite (no NaN/Inf)")
         object.__setattr__(self, "samples", samples)
-        rate = self.sample_rate
-        try:  # NaN and +-inf are not finite; an int past float range raises OverflowError
-            whole = isinstance(rate, numbers.Real) and math.isfinite(rate) and int(rate) == rate
-        except OverflowError:
-            whole = False
-        if isinstance(rate, bool) or not whole or rate <= 0:
-            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
-        object.__setattr__(self, "sample_rate", int(rate))
+        object.__setattr__(self, "sample_rate", _whole_rate(self.sample_rate))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -83,6 +88,9 @@ class FeatureBundle:
             raise ValueError(f"mel has {mel.shape[0]} frames but f0 has shape {f0.shape}")
         if not (np.all(np.isfinite(mel)) and np.all(np.isfinite(f0))):
             raise ValueError("mel and f0 must be finite (no NaN/Inf)")
+        # The framing and rate a render needs; sample_rate is kept as given.
+        FrameSpec(self.win_length, self.hop_length)
+        _whole_rate(self.sample_rate)
         object.__setattr__(self, "mel", mel)
         object.__setattr__(self, "f0", f0)
 
@@ -353,5 +361,5 @@ def read_features(path: str | Path) -> FeatureBundle:
     try:
         return FeatureBundle(mel=mel.reshape(n_frames, n_mels).copy(), f0=f0.copy(),
                              sample_rate=sample_rate, hop_length=hop_length, win_length=win_length)
-    except ValueError as exc:  # a NaN or Inf mel or F0 value
+    except ValueError as exc:  # a NaN or Inf value, a bad framing or rate
         raise ParseError(f"{path}: {exc}") from exc

@@ -48,7 +48,6 @@ class ScoreSet:
 @dataclass(frozen=True)
 class EerResult:
     eer: float
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -104,23 +103,19 @@ def eer_from_scores(bonafide: np.ndarray, spoof: np.ndarray) -> EerResult:
     merged = both[order]
     first = np.flatnonzero(np.concatenate([[True], merged[1:] != merged[:-1]]))
     bona_below = np.concatenate([[0], np.cumsum(order < len(bona))])
-    # Sentinel above every score: FAR 0, FRR 1, so a crossing always exists.
-    thresholds = np.append(merged[first], np.nextafter(merged[-1], np.inf))
+    # A sentinel past every score: FAR 0, FRR 1, so a crossing always exists.
     at = np.append(first, len(merged))
     frr = bona_below[at] / len(bona)
     far = (len(spoof) - (at - bona_below[at])) / len(spoof)
     diff = far - frr  # non-increasing, starts at +1, ends at -1
     idx = int(np.argmax(diff <= 0.0))
     if diff[idx] == 0.0:
-        return EerResult(
-            eer=float((far[idx] + frr[idx]) / 2.0), threshold=float(thresholds[idx])
-        )
+        return EerResult(eer=float((far[idx] + frr[idx]) / 2.0))
     prev = idx - 1
     alpha = diff[prev] / (diff[prev] - diff[idx])
     eer_far = far[prev] + alpha * (far[idx] - far[prev])
     eer_frr = frr[prev] + alpha * (frr[idx] - frr[prev])
-    threshold = thresholds[prev] + alpha * (thresholds[idx] - thresholds[prev])
-    return EerResult(eer=float((eer_far + eer_frr) / 2.0), threshold=float(threshold))
+    return EerResult(eer=float((eer_far + eer_frr) / 2.0))
 
 
 def eer_breakdown(scores: ScoreSet, attack_groups: dict[str, str] | None = None) -> EerBreakdown:

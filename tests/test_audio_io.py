@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import re
 import stat
@@ -322,8 +323,14 @@ def _bundle(mel, f0):
      "no such feature file"),
     (lambda tmp: _bundle(np.zeros((2, 3)), np.array([0.0, np.inf])), ValueError,
      "mel and f0 must be finite (no NaN/Inf)"),
+    (lambda tmp: FeatureBundle(np.zeros((2, 3)), np.zeros(2), 16000.5, 256, 1024), ValueError,
+     "sample_rate must be a positive integer, got 16000.5"),
+    (lambda tmp: FeatureBundle(np.zeros((2, 3)), np.zeros(2), 16000.0, 2048, 1024), ValueError,
+     "need 0 < hop_length <= win_length, got hop=2048 win=1024"),
+    (lambda tmp: FeatureBundle(np.zeros((2, 3)), np.zeros(2), 16000.0, 256, 0), ValueError,
+     "win_length must be positive, got 0"),
 ], ids=["samples-2-d", "mel-1-d", "f0-frame-count", "unknown-encoding", "missing-feature-file",
-        "f0-inf"])
+        "f0-inf", "bundle-rate-fraction", "bundle-hop-above-win", "bundle-win-zero"])
 def test_bad_input_rejected(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call(tmp_path)
@@ -522,7 +529,9 @@ EDGE_DOUBLES = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e300, -1e300]
 
 @st.composite
 def feature_bundles(draw):
-    """Any shape from one frame and one band up, values mixing EDGE_DOUBLES into finite doubles."""
+    """Any shape from one frame and one band up, values mixing EDGE_DOUBLES into finite doubles;
+    any framing the header's 32-bit fields hold and any whole positive rate."""
+    win_length = draw(st.integers(1, 2**32 - 1))
     n_frames = draw(st.integers(1, 6))
     n_mels = draw(st.integers(1, 6))
     values = st.one_of(
@@ -531,9 +540,9 @@ def feature_bundles(draw):
     return FeatureBundle(
         mel=draw(arrays(np.float64, (n_frames, n_mels), elements=values)),
         f0=draw(arrays(np.float64, n_frames, elements=values)),
-        sample_rate=draw(st.floats(allow_nan=False)),
-        hop_length=draw(st.integers(0, 2**32 - 1)),
-        win_length=draw(st.integers(0, 2**32 - 1)),
+        sample_rate=float(math.floor(draw(st.floats(1.0, allow_infinity=False)))),
+        hop_length=draw(st.integers(1, win_length)),
+        win_length=win_length,
     )
 
 
@@ -603,6 +612,18 @@ class TestFeatureFile:
         f0 = np.array([np.inf, 0.0], dtype="<f8")
         path.write_bytes(header + mel.tobytes() + f0.tobytes())
         with pytest.raises(ParseError, match=re.escape(f"{path}: mel and f0 must be finite")):
+            audio_io.read_features(path)
+
+    @pytest.mark.parametrize("rate, hop, win", [
+        (16000.5, 256, 1024), (0.0, 256, 1024), (math.inf, 256, 1024),
+        (16000.0, 0, 1024), (16000.0, 2048, 1024), (16000.0, 256, 0),
+    ], ids=["rate-fraction", "rate-zero", "rate-inf", "hop-zero", "hop-above-win", "win-zero"])
+    def test_bad_framing_header_rejected(self, tmp_path, rate, hop, win):
+        path = tmp_path / "x.rfb"
+        header = audio_io.RFB_HEADER.pack(audio_io.FEATURE_MAGIC, audio_io.FEATURE_VERSION,
+                                          2, 3, rate, hop, win)
+        path.write_bytes(header + np.zeros(2 * 3 + 2, dtype="<f8").tobytes())
+        with pytest.raises(ParseError, match=re.escape(f"{path}: ")):
             audio_io.read_features(path)
 
     def test_version_mismatch(self, tmp_path):
